@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate bench-compile crash-gate
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate bench-compile crash-gate perfbench-test
 
-ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate fuzz-smoke bench-compare
+ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate perfbench-test fuzz-smoke bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -160,6 +160,13 @@ crash-gate: build
 	$(GO) test -count=1 ./internal/trace -run 'TestSpool|TestWAL'
 	$(GO) test -count=1 ./internal/agg -run 'TestCrashSchedules|TestSnapshot|TestDurableAcks|TestResendDeduplicated'
 	$(GO) test -count=1 ./cmd/tesla-agg -run 'TestCrashGate'
+
+# The end-to-end benchmark's self-tests. perfbench is a module of its own
+# (perfbench/go.mod), so `make test` does not reach them, yet its verdict
+# and spool-accounting checks drive the recorder -> spool -> agg path end
+# to end.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the WAL spool's segment repair, the csub front end, the batched

@@ -188,11 +188,11 @@ func (s *Store) IngestTrace(process string, tr *trace.Trace) {
 	s.frames.Add(1)
 }
 
-// ingestEvents applies one frame's events, maintaining the trailing
-// window for failure samples. Window context is frame-local: a failure in
-// the first events of a delta carries less context, never wrong context.
+// ingestEvents applies one frame's events. A failure sample is the
+// failing event plus up to Window events before it, copied out of the
+// frame once per failure. Window context is frame-local: a failure in the
+// first events of a delta carries less context, never wrong context.
 func (s *Store) ingestEvents(process string, events []trace.Event, ringDropped uint64) {
-	win := make([]trace.Event, 0, s.window)
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
@@ -202,16 +202,9 @@ func (s *Store) ingestEvents(process string, events []trace.Event, ringDropped u
 		case trace.KindAccept:
 			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind}, nil)
 		case trace.KindFail:
-			sample := append(append([]trace.Event(nil), win...), *ev)
+			sample := append([]trace.Event(nil), events[max(0, i-s.window):i+1]...)
 			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
 				symbol: ev.Symbol, verdict: ev.Verdict.String()}, sample)
-		}
-		if s.window > 0 {
-			if len(win) == s.window {
-				copy(win, win[1:])
-				win = win[:s.window-1]
-			}
-			win = append(win, *ev)
 		}
 	}
 	s.events.Add(uint64(len(events)))
@@ -261,7 +254,10 @@ func (s *Store) IngestFrame(process string, payload []byte) error {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s: %w", process, err)
 	}
-	events := make([]trace.Event, 0, min(int(declared), 4096))
+	// Size the decode from the declared count, but never beyond what the
+	// payload's bytes could encode: a hostile count costs no more memory
+	// than an honest frame of the same length.
+	events := make([]trace.Event, 0, min(declared, uint64(len(payload)/trace.MinEncodedEvent)))
 	for {
 		ev, err := sd.Next()
 		if err != nil {

@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,5 +175,63 @@ func TestHealthRollup(t *testing.T) {
 	hs := store.Health()
 	if len(hs) != 1 || hs[0].Overflows != 7 || hs[0].Live != 1 || hs[0].Quarantined != 1 {
 		t.Fatalf("health rollup: %+v", hs)
+	}
+}
+
+// slidingWindowSamples is the reference failure-sample rule: a window of
+// the last `window` events slid along the frame one event at a time, each
+// failure sampled as the window's contents plus the failing event.
+func slidingWindowSamples(events []trace.Event, window int) [][]trace.Event {
+	var out [][]trace.Event
+	var win []trace.Event
+	for _, ev := range events {
+		if ev.Kind == trace.KindFail {
+			out = append(out, append(append([]trace.Event(nil), win...), ev))
+		}
+		if len(win) == window {
+			win = win[1:]
+		}
+		win = append(win, ev)
+	}
+	return out
+}
+
+// TestIngestSampleWindow pins failure samples taken from the decoded
+// frame to the sliding-window rule: a failure at the frame start (no
+// context), one with fewer preceding events than the window, and ones
+// mid-frame and at the frame end.
+func TestIngestSampleWindow(t *testing.T) {
+	var events []trace.Event
+	fails := map[int]bool{0: true, 3: true, 15: true, 16: true, 29: true}
+	for i := 0; i < 30; i++ {
+		ev := trace.Event{Seq: uint64(i + 1), Thread: -1, Kind: trace.KindTransition, Class: "c", Symbol: "s"}
+		switch {
+		case fails[i]:
+			ev.Kind, ev.Verdict = trace.KindFail, core.VerdictBadTransition
+		case i%4 == 1:
+			ev = trace.Event{Seq: uint64(i + 1), Kind: trace.KindProgram, Fn: "f", Vals: []core.Value{core.Value(i)}}
+		}
+		events = append(events, ev)
+	}
+	var enc bytes.Buffer
+	if err := trace.Write(&enc, &trace.Trace{FormatVersion: trace.Version, Automata: []string{"c"}, Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	payload := append(binary.AppendUvarint(nil, uint64(len(events))), enc.Bytes()...)
+	for _, window := range []int{1, 2, 8, 40} {
+		store := NewStore(StoreOpts{Window: window, SampleCap: len(fails)})
+		if err := store.IngestFrame("p", payload); err != nil {
+			t.Fatal(err)
+		}
+		got := store.Samples("c")
+		want := slidingWindowSamples(events, window)
+		if len(got) != len(want) {
+			t.Fatalf("window %d: %d samples, want %d", window, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i].Events, want[i]) {
+				t.Fatalf("window %d, sample %d:\n got %v\nwant %v", window, i, got[i].Events, want[i])
+			}
+		}
 	}
 }

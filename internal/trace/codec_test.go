@@ -168,11 +168,11 @@ func TestCodecRejectsGarbage(t *testing.T) {
 func TestRingOverwritesOldest(t *testing.T) {
 	r := newRing(4)
 	for i := 1; i <= 7; i++ {
-		r.push(Event{Seq: uint64(i)})
+		*r.next() = Event{Seq: uint64(i)}
 	}
-	got := r.snapshot(nil)
-	if len(got) != 4 || r.dropped != 3 {
-		t.Fatalf("got %d events, %d dropped; want 4, 3", len(got), r.dropped)
+	got, dropped := held(r)
+	if len(got) != 4 || dropped != 3 {
+		t.Fatalf("got %d events, %d dropped; want 4, 3", len(got), dropped)
 	}
 	for i, ev := range got {
 		if want := uint64(4 + i); ev.Seq != want {

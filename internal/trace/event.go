@@ -81,9 +81,13 @@ func (k Kind) String() string {
 // from JSON.
 type Event struct {
 	// Seq is the event's position in the global order. Sequence numbers
-	// are allocated from one atomic counter across all threads, so sorting
-	// by Seq linearises the trace; for single-threaded runs the order is
-	// exact.
+	// are allocated from one atomic counter across all threads, each under
+	// the lock of the ring the event is recorded into, so Seq order
+	// linearises the trace, every ring is Seq-ordered, and every cut of a
+	// live recorder (Recorder.CutSince) is an exact Seq-prefix of the run
+	// whatever the thread count. For single-threaded runs the order is
+	// also the program's own; for concurrent ones it is one plausible
+	// interleaving.
 	Seq uint64 `json:"seq"`
 	// Thread is the monitor thread the event entered on, or -1 for
 	// lifecycle events (which are recorded store-side, where the thread

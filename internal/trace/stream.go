@@ -103,6 +103,14 @@ func (sd *StreamDecoder) Next() (Event, error) {
 	return ev, nil
 }
 
+// MinEncodedEvent is the fewest bytes one event record occupies in the
+// binary format: a lifecycle event with every string already interned and
+// every number, key mask and the verdict encoded in one byte. A decoder
+// presizing from a declared event count can cap it at payload length over
+// this, so a hostile count claims no more memory than the bytes present
+// could actually decode to.
+const MinEncodedEvent = 12
+
 // decodeEvent decodes one event record, threading the delta-coded sequence
 // number through prevSeq. It is the single event-wire-format authority,
 // shared by StreamDecoder and (through it) Read.

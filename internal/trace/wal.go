@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -519,7 +521,13 @@ func ReadSpool(dir string) (*Trace, error) {
 	if first {
 		return nil, fmt.Errorf("trace: spool %s holds no recoverable frames", dir)
 	}
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Seq < t.Events[j].Seq })
+	// Every delta is an exact Seq-prefix extension of the one before, so
+	// the concatenation is already in order; spools written by older
+	// recorders, whose multi-threaded cuts were not, still get sorted.
+	bySeq := func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(t.Events, bySeq) {
+		slices.SortStableFunc(t.Events, bySeq)
+	}
 	return t, nil
 }
 
