@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg ingest-gate bench-ingest compile-gate bench-compile crash-gate perfbench-test
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg compile-gate bench-compile crash-gate perfbench-test
 
-ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate ingest-gate compile-gate crash-gate perfbench-test fuzz-smoke bench-compare
+ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate compile-gate crash-gate perfbench-test fuzz-smoke bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -26,9 +26,13 @@ test:
 
 # The monitor's global-context path, the trace recorder and the build
 # graph's scheduler/cache are exercised from many goroutines; keep them
-# provably race-free.
+# provably race-free. The second line repeats the global lazy-«init» tests:
+# another thread's first event must not reach the global store before the
+# «init» it depends on, and a handler re-entering the monitor during that
+# «init» must not deadlock (the timeout turns a hang into a failure).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -timeout 120s ./internal/monitor -run 'TestGlobalLazyInit'
 
 # The static checker over the demo programs: safe.c and liveness.c must
 # pass (exit 0), doomed.c must be rejected (exit 1); the -json reports
@@ -97,7 +101,9 @@ bench-faults:
 
 # Fleet-aggregation gate: the in-process fleet smoke under the race
 # detector (concurrent producers, one mid-stream disconnect, exact
-# ingested + dropped == sent accounting) plus the built-binary end-to-end
+# ingested + dropped == sent accounting, and TestAggBatchedProducer:
+# forced ring loss under a live CutSince publisher, every recorded event
+# ingested or counted as dropped) plus the built-binary end-to-end
 # (tesla-agg serve on a unix socket, three tesla-run -agg producers,
 # tesla-agg query).
 agg-gate: build
@@ -109,36 +115,16 @@ agg-gate: build
 bench-agg:
 	$(GO) run ./cmd/tesla-bench -fig agg
 
-# Batched-event-plane gate: the schedule-exploring differential parity
-# suites under the race detector. Covers the store-level batch-vs-sequential
-# differential (with injected allocation faults), the monitor-level
-# batched-vs-synchronous parity harness (>=1000 deterministic schedules
-# across batch sizes and thread counts, plus real-goroutine runs), the
-# trace recorder's ProgramBatch accounting/Seq invariants, replay parity
-# over a batched corpus, and the agg producer's exact accounting under a
-# batched monitor.
-ingest-gate:
-	$(GO) test -race -count=1 ./internal/core -run 'TestBatchDifferential'
-	$(GO) test -race -count=1 ./internal/monitor -run 'TestBatchParity|TestBatchGlobal'
-	$(GO) test -race -count=1 ./internal/trace -run 'TestCutSinceProgramBatch|TestProgramBatchSeqInvariant|TestReplayParityBatchedCorpus|TestReplayIgnoresCallerBatchSize'
-	$(GO) test -race -count=1 ./internal/agg -run 'TestAggBatchedProducer'
-
-# Ingest throughput figure: synchronous reference path vs the batched
-# per-thread event plane, with the per-rung noise gate (<=10% trimmed
-# spread over >=5 runs) enforced by the figure itself.
-bench-ingest:
-	$(GO) run ./cmd/tesla-bench -fig ingest
-
 # Compiled-engine gate: the schedule-exploring compiled-vs-interpreted
 # differential under the race detector. Covers >=1000 seeded schedules per
 # sweep across the single-mutex reference store and stripe counts 1-16
 # (supervision matrix: overflow policies, quarantine/re-arm, strict and
 # required symbols, resets), the same sweeps under injected allocation
-# failures, the Plan-carrying batch variant, the automaton-level lowering /
+# failures, the automaton-level lowering /
 # image round-trip / corrupt-image-rejection suite, and the build graph's
 # per-class engine cache cutoffs.
 compile-gate:
-	$(GO) test -race -count=1 ./internal/core -run 'TestEngineDifferential|TestEngineBatchDifferential|TestTransitionSet|TestInitTransition'
+	$(GO) test -race -count=1 ./internal/core -run 'TestEngineDifferential|TestTransitionSet|TestInitTransition'
 	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestAttachEngine|TestStepUnifiedContract'
 	$(GO) test -race -count=1 ./internal/build -run 'TestEngineNode|TestAssertionEditRelowersOneClass|TestBodyEditKeepsEngines'
 
@@ -169,9 +155,8 @@ perfbench-test:
 	cd perfbench && $(GO) test ./...
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
-# reader, the WAL spool's segment repair, the csub front end, the batched
-# event plane's flush protocol and the compiled-vs-interpreted step
-# differential
+# reader, the WAL spool's segment repair, the csub front end and the
+# compiled-vs-interpreted step differential
 # ($(FUZZTIME) per target); saved crashers land in testdata/fuzz and fail
 # `make test` from then on.
 fuzz-smoke:
@@ -179,7 +164,6 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzSpoolRecover$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csub -run '^$$' -fuzz '^FuzzCsubParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/monitor -run '^$$' -fuzz '^FuzzBatchFlush$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)
 
 # Store benchmarks, single-mutex reference vs sharded, diffed with benchstat

@@ -32,18 +32,11 @@
 //	          [-agg-spool dir]
 //	          [-j N] [-cache dir] [-explain] [-health] [-failure mode]
 //	          [-overflow policy] [-quarantine-after K] [-rearm N]
-//	          [-shards N] [-batch N] [-noengine] [-arg N]... file.c...
+//	          [-arg N]... file.c...
 //
-// -batch N switches the monitor to the batched per-thread event plane: each
-// thread stages up to N events in a local ring and applies them to the
-// global store in runs, amortising stripe locking. 0 (the default) keeps
-// the synchronous reference path. Verdicts are identical either way; batch
-// only changes when events are applied, never whether.
-//
-// -noengine pins the monitor to the interpreted transition walk instead of
-// the compiled step engines — the byte-identical reference path the
-// compile-gate differential proves equivalent. Useful for isolating an
-// engine bug in the field and for measuring the interpreter tax.
+// Every event is dispatched synchronously through the compiled step
+// engines into the per-thread stores and the global store, whose lock
+// stripes are sized to GOMAXPROCS.
 //
 // Exit status distinguishes the three failure layers: 1 for assertion
 // violations (the monitored program is wrong), 2 for build/usage errors (the
@@ -71,7 +64,7 @@ import (
 
 func main() {
 	tool := cli.New("tesla-run",
-		"[-plain] [-failstop] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-shards N] [-batch N] [-noengine] [-arg N]... file.c...")
+		"[-plain] [-failstop] [-debug] [-trace out.tr] [-agg addr] [-j N] [-cache dir] [-explain] [-health] [-failure mode] [-overflow policy] [-arg N]... file.c...")
 	plain := flag.Bool("plain", false, "run without instrumentation (Default build)")
 	failstop := flag.Bool("failstop", false, "abort on the first violation")
 	debug := flag.Bool("debug", false, "trace automaton events (TESLA_DEBUG-style output)")
@@ -85,9 +78,6 @@ func main() {
 	aggProcess := flag.String("agg-process", "", "process name reported to -agg (default host:pid)")
 	aggSpool := flag.String("agg-spool", "", "write-ahead spool directory for -agg (crash-durable exactly-once delivery)")
 	entry := flag.String("entry", "main", "entry function")
-	shards := flag.Int("shards", 0, "global-store lock stripes (0 = GOMAXPROCS, 1 = single-mutex reference store)")
-	batch := flag.Int("batch", 0, "per-thread event ring size for batched dispatch (0 = synchronous reference path)")
-	noEngine := flag.Bool("noengine", false, "use the interpreted transition walk instead of the compiled step engines")
 	health := flag.Bool("health", false, "print the per-class monitor health report to stderr after the run")
 	failureMode := flag.String("failure", "default", "violation action: default, report, stop or callback")
 	overflow := flag.String("overflow", "default", "instance-table overflow policy: default, drop-new, evict-oldest or quarantine")
@@ -121,9 +111,6 @@ func main() {
 	}
 	monOpts := monitor.Options{
 		FailFast:        *failstop,
-		GlobalShards:    *shards,
-		BatchSize:       *batch,
-		NoEngine:        *noEngine,
 		Failure:         failure,
 		Overflow:        overflowPol,
 		QuarantineAfter: *quarAfter,
@@ -189,13 +176,6 @@ func main() {
 	}
 
 	ret, runErr := rt.VM.Run(*entry, args...)
-	// Process exit is a required-site drain for the batched event plane:
-	// every staged event must reach the store and the trace rings before the
-	// trace is saved, the final agg delta is cut, or any verdict is counted.
-	// A nil monitor (plain build) has nothing staged.
-	if rt.Monitor != nil {
-		rt.Monitor.Drain()
-	}
 	// The trace is saved on every exit path: an aborted (fail-stop) run's
 	// trace is exactly what shrinking wants. The fleet stream likewise
 	// finishes on every exit path — final delta, health counters, bye —

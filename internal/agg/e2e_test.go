@@ -380,7 +380,7 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
-// mustCompile builds one automaton for the batched-producer e2e.
+// mustCompile builds one automaton for the producer e2e.
 func mustCompile(t *testing.T, name, src string) *automata.Automaton {
 	t.Helper()
 	a, err := spec.Parse(name, src, nil)
@@ -394,21 +394,24 @@ func mustCompile(t *testing.T, name, src string) *automata.Automaton {
 	return auto
 }
 
-// TestAggBatchedProducer runs the real producer stack — batched monitor
-// threads staging into trace rings, the publisher cutting live deltas with
-// CutSince while events fly — against an in-process server, and checks that
-// the exact-accounting invariant survives batching: per producer,
-// ingested + dropped == sent, and every event the recorder assigned a
-// sequence number to is either ingested or charged to a drop counter
-// (client, server or ring). Tiny rings plus a pre-publisher burst force a
-// known-nonzero ring loss, so the loss path is exercised, not just zero.
+// TestAggBatchedProducer runs the real producer stack — monitor threads
+// recording into trace rings, the publisher cutting live deltas with
+// CutSince while events fly — against an in-process server, and checks the
+// exact-accounting invariant: per producer, ingested + dropped == sent, and
+// every event the recorder assigned a sequence number to is either ingested
+// or charged to a drop counter (client, server or ring). Each subtest sets
+// the publish batch: every producer thread flushes the publisher itself
+// after that many transactions, on top of the 1 ms interval flusher, so
+// cuts race the threads at several granularities. Tiny rings plus a
+// pre-publisher burst force a known-nonzero ring loss, so the loss path is
+// exercised, not just zero.
 func TestAggBatchedProducer(t *testing.T) {
 	for _, bs := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("batch%d", bs), func(t *testing.T) {
 			srv, sock := startServer(t, ServerOpts{})
 			autos := []*automata.Automaton{mustCompile(t, "a1", `TESLA_SYSCALL_PREVIOUSLY(chk(x) == 0)`)}
 			rec := trace.NewRecorder(autos, 64)
-			m := monitor.MustNew(monitor.Options{Handler: rec, Tap: rec, BatchSize: bs}, autos...)
+			m := monitor.MustNew(monitor.Options{Handler: rec, Tap: rec}, autos...)
 			c, err := Dial(sock, ClientOpts{Tool: "agg-test", Process: "batchy"})
 			if err != nil {
 				t.Fatal(err)
@@ -421,7 +424,6 @@ func TestAggBatchedProducer(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				burst.Call("chk", core.Value(i))
 			}
-			burst.Flush()
 			pub.Start(time.Millisecond)
 
 			var wg sync.WaitGroup
@@ -437,18 +439,15 @@ func TestAggBatchedProducer(t *testing.T) {
 						th.Return("chk", 0, v)
 						th.Site("a1", v)
 						th.Return("amd64_syscall", 0)
-						if r%17 == 0 {
-							th.Flush()
+						if (r+1)%bs == 0 {
+							pub.Flush()
 						}
 					}
 				}(th, g)
 			}
 			wg.Wait()
-			// Process exit: drain the staged rings, then finish the stream —
-			// final delta, health ride-along, bye — as tesla-run does.
-			if err := m.Drain(); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
+			// Process exit: finish the stream — final delta, health
+			// ride-along, bye — as tesla-run does.
 			if err := pub.Stop(); err != nil {
 				t.Fatalf("final flush: %v", err)
 			}

@@ -5,8 +5,13 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
+	"time"
 
+	"tesla/internal/automata"
+	"tesla/internal/core"
 	"tesla/internal/monitor"
+	"tesla/internal/spec"
 )
 
 // FigCompile measures the interpreter tax the compiled transition engines
@@ -28,32 +33,94 @@ import (
 // compileTarget — this is the PR's acceptance number, not decoration.
 
 const (
-	// compileKeys widens the per-goroutine key range over the ingest
-	// figure's: more live clones per class make each event's candidate scan
-	// — the code the engines compile — the dominant cost. 24 keys plus the
-	// unkeyed parent stay under DefaultInstanceLimit, so the single-thread
-	// rung has zero eviction churn and measures the scan alone.
+	// compileKeys is the key range the rungs share: many live clones per
+	// class make each event's candidate scan — the code the engines compile
+	// — the dominant cost. 24 keys plus the unkeyed parent stay under
+	// DefaultInstanceLimit, so the single-thread rung has zero eviction
+	// churn and measures the scan alone.
 	compileKeys = 24
 	// compileTarget is the minimum accepted compiled/interpreted speedup on
 	// the single-thread rung.
 	compileTarget = 1.5
+	// ingestShards is the global store's stripe count in every rung.
+	ingestShards = 8
 )
 
+// ingestAutomaton compiles the global-context session automaton once per
+// measurement (stores are not reusable across monitors).
+func ingestAutomaton() (*automata.Automaton, int, error) {
+	a, err := spec.Parse("ingest",
+		`TESLA_GLOBAL(call(start_op), returnfrom(end_op), previously(prepare(x) == 0))`, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	auto, err := automata.Compile(a)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, sym := range auto.Symbols {
+		if sym.Fn == "prepare" {
+			return auto, sym.ID, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("bench: ingest automaton has no prepare symbol")
+}
+
+// ingestRun drives total pre-matched events through one monitor from g
+// goroutines (one monitor thread each, disjoint ranges of keysPerG keys)
+// and returns aggregate events/sec.
+func ingestRun(o monitor.Options, g, keysPerG, total int) (float64, error) {
+	auto, symID, err := ingestAutomaton()
+	if err != nil {
+		return 0, err
+	}
+	m, err := monitor.New(o, auto)
+	if err != nil {
+		return 0, err
+	}
+	idx := m.AutoIndex("ingest")
+
+	ths := make([]*monitor.Thread, g)
+	for t := range ths {
+		ths[t] = m.NewThread()
+		// Open the bound once per thread so instances are live and events
+		// hit the store's update path, not the pre-init fast path.
+		ths[t].Call("start_op")
+	}
+
+	perG := total / g
+	var wg sync.WaitGroup
+	start := time.Now()
+	for t := 0; t < g; t++ {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			th := ths[t]
+			base := t * keysPerG
+			for i := 0; i < perG; i++ {
+				th.Deliver(idx, symID, core.Value(base+i%keysPerG))
+			}
+		}(t)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	return float64(perG*g) / elapsed.Seconds(), nil
+}
+
 // FigCompileMeasure is one data point: total check events through g
-// goroutines, interpreted (noEngine) or compiled. batch == 0 is the
-// synchronous plane. The key range is split across goroutines so every rung
-// keeps the same compileKeys live clones in the (shared, global) class —
-// constant scan work per event, no eviction churn at any width.
-func FigCompileMeasure(noEngine bool, batch, g, total int) (float64, error) {
+// goroutines, interpreted (noEngine) or compiled. The key range is split
+// across goroutines so every rung keeps the same compileKeys live clones in
+// the (shared, global) class — constant scan work per event, no eviction
+// churn at any width.
+func FigCompileMeasure(noEngine bool, g, total int) (float64, error) {
 	return ingestRun(monitor.Options{
 		NoEngine:     noEngine,
-		BatchSize:    batch,
 		GlobalShards: ingestShards,
 	}, g, compileKeys/g, total)
 }
 
-// FigCompile prints check-heavy events/sec, interpreted vs compiled, across
-// dispatch planes. It returns an error when a rung stays over the noise
+// FigCompile prints check-heavy events/sec, interpreted vs compiled, at one
+// and four goroutines. It returns an error when a rung stays over the noise
 // gate after a retry, or when the single-thread speedup misses the target.
 func FigCompile(w io.Writer, iters int) error {
 	total := iters * 50
@@ -63,26 +130,24 @@ func FigCompile(w io.Writer, iters int) error {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	fmt.Fprintln(w, "Figure compile: interpreted transition walk vs compiled step engines")
-	fmt.Fprintf(w, "  (%d keys/goroutine, %d stripes, batch ring %d, best of %d runs, middle-3 noise <= 10%%)\n",
-		compileKeys, ingestShards, ingestBatch, noiseIters)
-	fmt.Fprintf(w, "  %-12s %14s %14s %10s %16s\n", "plane", "interp ev/s", "compiled ev/s", "speedup", "noise int/comp")
+	fmt.Fprintf(w, "  (%d keys in all, %d stripes, best of %d runs, middle-3 noise <= 10%%)\n",
+		compileKeys, ingestShards, noiseIters)
+	fmt.Fprintf(w, "  %-12s %14s %14s %10s %16s\n", "rung", "interp ev/s", "compiled ev/s", "speedup", "noise int/comp")
 
 	rungs := []struct {
-		name  string
-		batch int
-		g     int
+		name string
+		g    int
 	}{
-		{"sync/1", 0, 1},
-		{"sync/4", 0, 4},
-		{"batched/4", ingestBatch, 4},
+		{"sync/1", 1},
+		{"sync/4", 4},
 	}
 
 	var noisy []string
 	var headline float64
 	for _, r := range rungs {
 		r := r
-		interp := func(n int) (float64, error) { return FigCompileMeasure(true, r.batch, r.g, n) }
-		comp := func(n int) (float64, error) { return FigCompileMeasure(false, r.batch, r.g, n) }
+		interp := func(n int) (float64, error) { return FigCompileMeasure(true, r.g, n) }
+		comp := func(n int) (float64, error) { return FigCompileMeasure(false, r.g, n) }
 
 		intBest, intNoise, err := noiseRung(total, interp)
 		if err != nil {

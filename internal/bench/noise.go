@@ -5,11 +5,10 @@ import (
 	"sort"
 )
 
-// Noise-gated measurement, shared by the throughput figures that make
-// comparative claims (ingest, compile). A speedup claim is only as good as
-// the run-to-run stability of the numbers behind it, so these figures
-// measure every rung several times and fail when the spread is too wide to
-// support the comparison.
+// Noise-gated measurement for the compile figure's comparative claim. A
+// speedup claim is only as good as the run-to-run stability of the numbers
+// behind it, so the figure measures every rung several times and fails when
+// the spread is too wide to support the comparison.
 
 const (
 	// noiseIters is the per-rung run count; the noise metric keeps the

@@ -9,7 +9,7 @@ import (
 )
 
 // Compiled-vs-interpreted differential: a store driving events through the
-// compiled engine bodies (UpdateStatePlan, plan-carrying batch ops) must be
+// compiled engine bodies (UpdateStatePlan) must be
 // observationally equivalent to a NoEngine store fed the identical schedule
 // through the interpreted table-driven walk — identical verdicts, live
 // counts, instance sets, quarantine state, health counters and notification
@@ -138,134 +138,6 @@ func TestEngineDifferentialInjected(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			shards := []int{1, 2, 4, 8, 16}[i%5]
 			runEngineDifferential(t, int64(50000+i), shards, i%2 == 0, rate)
-		}
-	}
-}
-
-// runEngineBatchDifferential crosses the engine differential with the batch
-// plane: Plan-carrying ops applied through UpdateBatch on an engine store
-// versus the same events applied one at a time through the interpreted walk
-// on a NoEngine store, compared at every flush boundary.
-func runEngineBatchDifferential(t *testing.T, seed int64, shards, batchSize int, rate float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	cls := &Class{
-		Name: "enginebatch", States: 8, Limit: 2 + rng.Intn(8),
-		Overflow:        []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}[rng.Intn(3)],
-		QuarantineAfter: 1 + rng.Intn(3),
-		RearmEvents:     1 + rng.Intn(8),
-	}
-	states := uint32(3 + rng.Intn(3))
-
-	injSeq := faultinject.New(uint64(seed))
-	injBat := faultinject.New(uint64(seed))
-	if rate > 0 {
-		injSeq.SetRate(faultinject.SiteAlloc, rate)
-		injBat.SetRate(faultinject.SiteAlloc, rate)
-	}
-
-	hseq := &noteHandler{}
-	hbat := &noteHandler{}
-	seq := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hseq, Shards: shards, NoEngine: true,
-		AllocFail: func(c *Class) bool { return injSeq.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	bat := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hbat, Shards: shards,
-		AllocFail: func(c *Class) bool { return injBat.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	seq.Register(cls)
-	bat.Register(cls)
-
-	plans := planCache{}
-	var pending []BatchOp
-	seqErrs := 0
-	flush := func(i int) {
-		if len(pending) == 0 {
-			return
-		}
-		err := bat.UpdateBatch(pending)
-		if (err != nil) != (seqErrs > 0) {
-			t.Fatalf("seed %d shards %d batch %d event %d: verdict diverged: engine batch err=%v, interpreted errors=%d",
-				seed, shards, batchSize, i, err, seqErrs)
-		}
-		pending = pending[:0]
-		seqErrs = 0
-	}
-	compare := func(i int) {
-		if lr, lb := seq.LiveCount(cls), bat.LiveCount(cls); lr != lb {
-			t.Fatalf("seed %d shards %d batch %d event %d: live diverged: interpreted=%d engine=%d",
-				seed, shards, batchSize, i, lr, lb)
-		}
-		if ir, ib := instSet(seq, cls), instSet(bat, cls); !reflect.DeepEqual(ir, ib) {
-			t.Fatalf("seed %d shards %d batch %d event %d: instances diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, batchSize, i, ir, ib)
-		}
-		if qr, qb := seq.Quarantined(cls), bat.Quarantined(cls); qr != qb {
-			t.Fatalf("seed %d shards %d batch %d event %d: quarantine diverged", seed, shards, batchSize, i)
-		}
-		if hr, hb := healthOf(seq, cls), healthOf(bat, cls); hr != hb {
-			t.Fatalf("seed %d shards %d batch %d event %d: health diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, batchSize, i, hr, hb)
-		}
-		if nr, nb := hseq.sorted(), hbat.sorted(); !reflect.DeepEqual(nr, nb) {
-			t.Fatalf("seed %d shards %d batch %d event %d: notifications diverged:\ninterpreted: %v\nengine:      %v",
-				seed, shards, batchSize, i, nr, nb)
-		}
-	}
-
-	for i, ev := range randSchedule(rng, states, 48) {
-		switch ev.op {
-		case "reset":
-			flush(i)
-			seq.Reset()
-			bat.Reset()
-			compare(i)
-		case "resetclass":
-			flush(i)
-			seq.ResetClass(cls)
-			bat.ResetClass(cls)
-			compare(i)
-		default:
-			if seq.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts) != nil {
-				seqErrs++
-			}
-			pending = append(pending, BatchOp{
-				Cls: cls, Symbol: ev.symbol, Flags: ev.flags, Key: ev.key, TS: ev.ts,
-				Plan: plans.plan(cls, ev.symbol, ev.flags, ev.ts),
-			})
-			if len(pending) >= batchSize || rng.Intn(6) == 0 {
-				flush(i)
-				compare(i)
-			}
-		}
-	}
-	flush(48)
-	compare(48)
-	if fs, fb := injSeq.TotalFired(), injBat.TotalFired(); fs != fb {
-		t.Fatalf("seed %d: injectors diverged: interpreted fired %d, engine %d", seed, fs, fb)
-	}
-}
-
-// TestEngineBatchDifferential sweeps Plan-carrying batches (sizes 1, 7 and
-// batchRunMax) against the interpreted sequential walk across stripe counts.
-func TestEngineBatchDifferential(t *testing.T) {
-	for _, size := range []int{1, 7, 64} {
-		for i := 0; i < 150; i++ {
-			shards := []int{1, 2, 4, 8, 16}[i%5]
-			runEngineBatchDifferential(t, int64(60000+i), shards, size, 0)
-		}
-	}
-}
-
-// TestEngineBatchDifferentialInjected repeats the batch sweep under injected
-// allocation failures.
-func TestEngineBatchDifferentialInjected(t *testing.T) {
-	for _, rate := range []float64{0.10, 0.50} {
-		for i := 0; i < 100; i++ {
-			shards := []int{1, 2, 4, 8, 16}[i%5]
-			size := []int{1, 7, 64}[i%3]
-			runEngineBatchDifferential(t, int64(70000+i), shards, size, rate)
 		}
 	}
 }

@@ -448,9 +448,8 @@ func (s *Store) updateSharded(sc *shardedClass, symbol string, flags SymbolFlags
 
 // shardedQuarGate runs the quarantine fast path for one event: re-arm when
 // due (processing the event normally), otherwise count the suppression and
-// report true so the caller skips the event. Safe both before any stripe lock
-// (the single-event path) and while holding a batch run's stripes — quarMu
-// only ever nests inside stripe locks.
+// report true so the caller skips the event. It runs before any stripe lock
+// is taken; quarMu only ever nests inside stripe locks.
 func (s *Store) shardedQuarGate(sc *shardedClass, nb *noteBuf) bool {
 	if !sc.quarantined.Load() {
 		return false
@@ -607,8 +606,7 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 	return slot
 }
 
-// updateShardedBody is the event body proper, shared by the single-event path
-// above and the batch run loop (batch.go). The caller holds the stripe locks
+// updateShardedBody is the event body proper. The caller holds the stripe locks
 // in set, which must cover the event's planned need; scan selects the
 // all-stripes candidate walk. This is the interpreted (table-driven) walk;
 // the compiled engine body in engine.go replaces its per-event scans with

@@ -88,7 +88,7 @@ type StoreOpts struct {
 	// many recovered panics (0 = DefaultHandlerPanicLimit).
 	HandlerPanicLimit int
 	// NoEngine disables the compiled transition engine (engine.go):
-	// UpdateStatePlan and plan-carrying batch ops fall back to the
+	// UpdateStatePlan falls back to the
 	// interpreted table-driven walk, making the store the executable
 	// reference the engine differential harness compares against.
 	NoEngine bool

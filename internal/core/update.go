@@ -175,9 +175,8 @@ func (s *Store) refClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *e
 	return slot
 }
 
-// updateRefLocked is the event body proper, factored out so UpdateBatch can
-// hold the store mutex across a whole run of ops (batch.go). The store lock
-// must be held and cs registered. This is the interpreted (table-driven)
+// updateRefLocked is the event body proper. The store lock must be held and
+// cs registered. This is the interpreted (table-driven)
 // walk; the compiled engine body in engine.go replaces its linear scans with
 // precomputed plans, and the differential gate pins the two equal.
 func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {

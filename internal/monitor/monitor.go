@@ -42,15 +42,6 @@ type Options struct {
 	// the compile figure's baseline rung run on; production monitors leave
 	// this off.
 	NoEngine bool
-	// BatchSize enables the batched per-thread event plane (batch.go):
-	// each Thread stages up to this many program events in a ring and
-	// applies them to the stores in runs, amortising stripe locking and
-	// index lookups. 0 keeps the synchronous path — one store round-trip
-	// per event — which is also the executable differential reference the
-	// parity harness compares batched runs against. Verdict-observing
-	// operations (Health, Drain, fail-stop verdict symbols, trace cuts)
-	// force a flush, so observable verdicts are identical in both modes.
-	BatchSize int
 
 	// Failure is the store-default failure action for classes that leave
 	// Class.Failure at FailDefault (§4.4.2's panic/printf spectrum). The
@@ -113,16 +104,10 @@ type Monitor struct {
 	siteIdx   map[string]symRef
 
 	// plans[idx][symID] is automaton idx's compiled engine plan for that
-	// symbol (automata.StepEngine lowering): every dispatch path routes
-	// events through these, and the stores fall back to the interpreted
-	// walk when built with Options.NoEngine.
+	// symbol (automata.StepEngine lowering): dispatch routes every event
+	// through these, and the stores fall back to the interpreted walk when
+	// built with Options.NoEngine.
 	plans [][]*core.SymbolPlan
-
-	// failStop records, per automaton, whether its class's effective
-	// failure action is fail-stop — the batch plane drains through on
-	// verdict-bearing ops of exactly these automata so their violation
-	// errors surface at the causing event call.
-	failStop []bool
 
 	// boundSlot maps a Bound (begin/end event pair) to a dense index;
 	// autoBound gives each automaton's bound slot. The four dispatch maps
@@ -226,9 +211,6 @@ func (m *Monitor) add(a *automata.Automaton) error {
 	// Link-time engine lowering: reuses an engine the build graph attached,
 	// else lowers here, once, so no event pays for plan construction.
 	m.plans = append(m.plans, a.Engine().Plans)
-	// Both contexts resolve failure actions against the same option
-	// defaults and FailFast switch, so the global store answers for all.
-	m.failStop = append(m.failStop, m.global.FailStopFor(a.Class))
 
 	bound := a.Spec.Bound
 	boundKey := bound.String()
@@ -315,9 +297,11 @@ type Thread struct {
 	stack []string
 	lazy  lazyState
 	tap   ThreadTap
-	btap  BatchThreadTap // tap's batch extension, when it implements one
-	batch *batchState    // staging ring; nil in synchronous mode
 	clock func() int64
+
+	// holdsGlobal is set while this thread holds the monitor's muGlobal
+	// (lockGlobal). Only the thread's own goroutine reads or writes it.
+	holdsGlobal bool
 
 	// StackQuery, when set, answers incallstack queries instead of the
 	// thread's own call stack — the IR interpreter supplies its frame
@@ -338,12 +322,6 @@ func (m *Monitor) NewThread() *Thread {
 	if m.opts.Tap != nil {
 		th.tap = m.opts.Tap.ThreadTap(th.id)
 	}
-	if m.opts.BatchSize > 0 {
-		th.batch = newBatchState(m.opts.BatchSize)
-		if bt, ok := th.tap.(BatchThreadTap); ok {
-			th.btap = bt
-		}
-	}
 	for _, a := range m.autos {
 		if a.Spec.Context != spec.Global {
 			th.store.Register(a.Class)
@@ -359,13 +337,7 @@ func (m *Monitor) NewThread() *Thread {
 // per-thread store: one entry per class name, counters summed, Live totalled,
 // Quarantined set if the class is quarantined in any store. Entries are
 // ordered by first appearance (global first, then threads in creation order).
-// Health is a required-site drain: batched threads flush their staged rings
-// first, so the counters reflect every event delivered to the monitor.
-// Deferred fail-stop errors surfaced by that drain are not returned here —
-// they are already counted in the violation totals; use Drain to collect
-// them.
 func (m *Monitor) Health() []core.ClassHealth {
-	m.Drain()
 	m.threadsMu.Lock()
 	stores := make([]*core.Store, 0, 1+len(m.threads))
 	stores = append(stores, m.global)
@@ -391,6 +363,13 @@ func (m *Monitor) Health() []core.ClassHealth {
 	}
 	return out
 }
+
+// Drain does nothing and returns nil: every event reaches the stores
+// before its Thread method returns, so there is nothing to drain.
+//
+// Deprecated: events are dispatched synchronously; callers can drop the
+// call.
+func (m *Monitor) Drain() error { return nil }
 
 // Degraded reports whether any class in any store has degradation counters.
 func (m *Monitor) Degraded() bool {
@@ -427,34 +406,19 @@ func (th *Thread) storeFor(idx int) *core.Store {
 	return th.store
 }
 
-// lazyFor returns the lazy bookkeeping context for an automaton, plus the
-// mutex guarding it (nil for per-thread automata).
-func (th *Thread) lazyFor(idx int) (*lazyState, *sync.Mutex) {
-	if th.m.autos[idx].Spec.Context == spec.Global {
-		return &th.m.globalLazy, &th.m.muGlobal
+// emit hands one raw program event to the thread's tap, if any.
+func (th *Thread) emit(ev ProgramEvent) {
+	if th.tap != nil {
+		th.tap.ProgramEvent(ev)
 	}
-	return &th.lazy, nil
-}
-
-// emit routes one raw program event: synchronous mode taps it (nil-guarded,
-// the zero-cost path); batched mode stages a ring entry for the event's
-// matched ops to attach to. A full ring flushes first, which may surface a
-// deferred fail-stop error — returned here for the entry point to report.
-func (th *Thread) emit(ev ProgramEvent) error {
-	if th.batch == nil {
-		if th.tap != nil {
-			th.tap.ProgramEvent(ev)
-		}
-		return nil
-	}
-	return th.stageEvent(ev)
 }
 
 // Call reports entry into fn with the given arguments: it drives «init»
 // transitions for automata bounded by fn and entry-event symbols naming fn,
 // and pushes fn onto the thread's call stack for incallstack patterns.
 func (th *Thread) Call(fn string, args ...core.Value) error {
-	first := th.emit(ProgramEvent{Kind: ProgCall, Time: th.now(), Fn: fn, Vals: args})
+	th.emit(ProgramEvent{Kind: ProgCall, Time: th.now(), Fn: fn, Vals: args})
+	var first error
 	th.stack = append(th.stack, fn)
 	for _, slot := range th.m.beginCall[fn] {
 		if err := th.boundBegin(slot); err != nil && first == nil {
@@ -479,7 +443,8 @@ func (th *Thread) Call(fn string, args ...core.Value) error {
 // Return reports return from fn: exit-event symbols (which may constrain
 // arguments and the return value) and «cleanup» for automata bounded by fn.
 func (th *Thread) Return(fn string, ret core.Value, args ...core.Value) error {
-	first := th.emit(ProgramEvent{Kind: ProgReturn, Time: th.now(), Fn: fn, Ret: ret, HasRet: true, Vals: args})
+	th.emit(ProgramEvent{Kind: ProgReturn, Time: th.now(), Fn: fn, Ret: ret, HasRet: true, Vals: args})
+	var first error
 	for _, ref := range th.m.retIdx[fn] {
 		if key, ok := matchFunc(ref.sym, args, ret, true, th.m.opts.Memory); ok {
 			if err := th.deliver(ref, key); err != nil && first == nil {
@@ -506,7 +471,8 @@ func (th *Thread) Return(fn string, ret core.Value, args ...core.Value) error {
 // Send reports an Objective-C message send (selector with receiver).
 func (th *Thread) Send(selector string, receiver core.Value, args ...core.Value) error {
 	all := append([]core.Value{receiver}, args...)
-	first := th.emit(ProgramEvent{Kind: ProgSend, Time: th.now(), Fn: selector, Vals: all})
+	th.emit(ProgramEvent{Kind: ProgSend, Time: th.now(), Fn: selector, Vals: all})
+	var first error
 	for _, ref := range th.m.msgIdx[selector] {
 		if key, ok := matchFunc(ref.sym, all, 0, false, th.m.opts.Memory); ok {
 			if err := th.deliver(ref, key); err != nil && first == nil {
@@ -520,7 +486,8 @@ func (th *Thread) Send(selector string, receiver core.Value, args ...core.Value)
 // SendReturn reports the return of an Objective-C message.
 func (th *Thread) SendReturn(selector string, ret core.Value, receiver core.Value, args ...core.Value) error {
 	all := append([]core.Value{receiver}, args...)
-	first := th.emit(ProgramEvent{Kind: ProgSendReturn, Time: th.now(), Fn: selector, Ret: ret, HasRet: true, Vals: all})
+	th.emit(ProgramEvent{Kind: ProgSendReturn, Time: th.now(), Fn: selector, Ret: ret, HasRet: true, Vals: all})
+	var first error
 	for _, ref := range th.m.msgRetIdx[selector] {
 		if key, ok := matchFunc(ref.sym, all, ret, true, th.m.opts.Memory); ok {
 			if err := th.deliver(ref, key); err != nil && first == nil {
@@ -533,10 +500,11 @@ func (th *Thread) SendReturn(selector string, ret core.Value, receiver core.Valu
 
 // Assign reports a structure-field assignment.
 func (th *Thread) Assign(structName, field string, target core.Value, op spec.AssignOp, value core.Value) error {
-	first := th.emit(ProgramEvent{
+	th.emit(ProgramEvent{
 		Kind: ProgAssign, Time: th.now(), Fn: structName, Field: field,
 		Op: op, Vals: []core.Value{target, value},
 	})
+	var first error
 	for _, ref := range th.m.fieldIdx[structName+"."+field] {
 		if key, ok := matchField(ref.sym, target, op, value, th.m.opts.Memory); ok {
 			if err := th.deliver(ref, key); err != nil && first == nil {
@@ -569,14 +537,11 @@ func (th *Thread) site(autoIdx int, vals []core.Value) error {
 			inStack = append(inStack, s.ID)
 		}
 	}
-	first := th.emit(ProgramEvent{
+	th.emit(ProgramEvent{
 		Kind: ProgSite, Time: th.now(), Fn: auto.Name,
 		Auto: autoIdx, Vals: vals, InStack: inStack,
 	})
-	if err := th.siteResolved(autoIdx, inStack, vals); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return th.siteResolved(autoIdx, inStack, vals)
 }
 
 // siteResolved dispatches a site event whose incallstack branches are
@@ -605,14 +570,11 @@ func (th *Thread) SiteResolved(autoIdx int, inStack []int, vals ...core.Value) e
 	if autoIdx < 0 || autoIdx >= len(th.m.autos) {
 		return fmt.Errorf("monitor: automaton index %d out of range", autoIdx)
 	}
-	first := th.emit(ProgramEvent{
+	th.emit(ProgramEvent{
 		Kind: ProgSite, Time: th.now(), Fn: th.m.autos[autoIdx].Name,
 		Auto: autoIdx, Vals: vals, InStack: inStack,
 	})
-	if err := th.siteResolved(autoIdx, inStack, vals); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return th.siteResolved(autoIdx, inStack, vals)
 }
 
 // InStack reports whether fn is on the thread's call stack.
@@ -641,10 +603,11 @@ func (th *Thread) Deliver(autoIdx, symID int, vals ...core.Value) error {
 	if symID < 0 || symID >= len(auto.Symbols) {
 		return fmt.Errorf("monitor: symbol %d out of range for %s", symID, auto.Name)
 	}
-	first := th.emit(ProgramEvent{
+	th.emit(ProgramEvent{
 		Kind: ProgDeliver, Time: th.now(), Fn: auto.Name,
 		Auto: autoIdx, Sym: symID, Vals: vals,
 	})
+	var first error
 	sym := auto.Symbols[symID]
 	key := core.AnyKey
 	for i, c := range sym.Captures {
@@ -679,67 +642,92 @@ func (m *Monitor) AutoIndex(name string) int {
 
 // BoundBegin drives bound-slot entry directly (IR hook entry point).
 func (th *Thread) BoundBegin(slot int) error {
-	first := th.emit(ProgramEvent{Kind: ProgBoundBegin, Time: th.now(), Slot: slot})
-	if err := th.boundBegin(slot); err != nil && first == nil {
-		first = err
-	}
-	return first
+	th.emit(ProgramEvent{Kind: ProgBoundBegin, Time: th.now(), Slot: slot})
+	return th.boundBegin(slot)
 }
 
 // BoundEnd drives bound-slot exit directly (IR hook entry point).
 func (th *Thread) BoundEnd(slot int) error {
-	first := th.emit(ProgramEvent{Kind: ProgBoundEnd, Time: th.now(), Slot: slot})
-	if err := th.boundEnd(slot); err != nil && first == nil {
-		first = err
-	}
-	return first
+	th.emit(ProgramEvent{Kind: ProgBoundEnd, Time: th.now(), Slot: slot})
+	return th.boundEnd(slot)
 }
 
 // sendOp routes one matched (automaton, symbol, key) op to store through the
-// automaton's compiled engine plan: staged with the plan attached in batched
-// mode (the batch run applies it through the engine body), else driven
-// synchronously via UpdateStatePlan. Stores built with Options.NoEngine fall
-// back to the interpreted walk inside core, so dispatch is uniform here on
-// both planes.
+// automaton's compiled engine plan. Stores built with Options.NoEngine fall
+// back to the interpreted walk inside core, so dispatch is uniform here.
 func (th *Thread) sendOp(store *core.Store, idx int, sym *automata.Symbol, key core.Key) error {
-	auto := th.m.autos[idx]
-	p := th.m.plans[idx][sym.ID]
-	if th.batch != nil {
-		return th.stageOp(store, core.BatchOp{Cls: auto.Class, Symbol: sym.Name, Flags: sym.Flags, Key: key, TS: auto.Trans[sym.ID], Plan: p}, th.opDrains(idx, sym.Flags, auto.Trans[sym.ID]))
-	}
-	return store.UpdateStatePlan(p, key)
+	return store.UpdateStatePlan(th.m.plans[idx][sym.ID], key)
 }
 
 // deliver routes a matched event to the automaton's store, materialising a
 // lazy «init» first if needed.
 func (th *Thread) deliver(ref symRef, key core.Key) error {
-	auto := th.m.autos[ref.idx]
 	store := th.storeFor(ref.idx)
 	if !th.m.opts.Naive {
-		ls, mu := th.lazyFor(ref.idx)
-		if mu != nil {
-			mu.Lock()
+		var err error
+		if store == th.m.global {
+			err = th.globalLazyInit(store, ref.idx)
+		} else {
+			_, err = th.lazyInit(&th.lazy, store, ref.idx)
 		}
-		slot := th.m.autoBound[ref.idx]
-		needInit := ls.inBound[slot] && ls.lastEpoch[ref.idx] != ls.epoch[slot]
-		if needInit {
-			ls.lastEpoch[ref.idx] = ls.epoch[slot]
-			ls.touched[slot] = append(ls.touched[slot], ref.idx)
-		}
-		if mu != nil {
-			mu.Unlock()
-		}
-		if needInit {
-			// The lazy decision is made at stage time (under the same
-			// bookkeeping lock as synchronous mode); in batched mode the
-			// materialising «init» op stages in order before the event op
-			// that triggered it.
-			if err := th.sendOp(store, ref.idx, auto.BoundBegin(), core.AnyKey); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return th.sendOp(store, ref.idx, ref.sym, key)
+}
+
+// lazyInit sends automaton idx's «init» if this is the automaton's first
+// event in the current epoch of its bound in ls, and reports whether it did.
+func (th *Thread) lazyInit(ls *lazyState, store *core.Store, idx int) (bool, error) {
+	slot := th.m.autoBound[idx]
+	if !ls.inBound[slot] || ls.lastEpoch[idx] == ls.epoch[slot] {
+		return false, nil
+	}
+	ls.lastEpoch[idx] = ls.epoch[slot]
+	ls.touched[slot] = append(ls.touched[slot], idx)
+	return true, th.sendOp(store, idx, th.m.autos[idx].BoundBegin(), core.AnyKey)
+}
+
+// globalInitHook, when set, runs right after a thread has decided a global
+// automaton's lazy «init» and released muGlobal: the first moment another
+// thread can see the decision. Only tests set it.
+var globalInitHook func()
+
+// globalLazyInit is lazyInit for a global-context automaton. The decision
+// and the «init» op are one step under muGlobal. Were the lock released
+// between them, another thread would see the epoch as materialised and could
+// reach the store before the parent instance exists: its keyed event would
+// find nothing to clone, and a required site no live instance. Handlers
+// notified by the «init» run with muGlobal held, so they may re-enter the
+// monitor through this Thread (lockGlobal) but not through another one.
+func (th *Thread) globalLazyInit(store *core.Store, idx int) error {
+	locked := th.lockGlobal()
+	inited, err := th.lazyInit(&th.m.globalLazy, store, idx)
+	if locked {
+		th.unlockGlobal()
+	}
+	if inited && globalInitHook != nil {
+		globalInitHook()
+	}
+	return err
+}
+
+// lockGlobal takes muGlobal and reports whether it did. A thread that
+// already holds it is a handler re-entering the monitor during a global lazy
+// «init»: it must not lock again, and the outer frame unlocks.
+func (th *Thread) lockGlobal() bool {
+	if th.holdsGlobal {
+		return false
+	}
+	th.m.muGlobal.Lock()
+	th.holdsGlobal = true
+	return true
+}
+
+func (th *Thread) unlockGlobal() {
+	th.holdsGlobal = false
+	th.m.muGlobal.Unlock()
 }
 
 // boundBegin handles entry into a bound function. In naive mode every
@@ -764,9 +752,10 @@ func (th *Thread) boundBegin(slot int) error {
 		ls.inBound[slot] = true
 	}
 	bump(&th.lazy)
-	th.m.muGlobal.Lock()
+	if th.lockGlobal() {
+		defer th.unlockGlobal()
+	}
 	bump(&th.m.globalLazy)
-	th.m.muGlobal.Unlock()
 	return nil
 }
 
@@ -798,9 +787,11 @@ func (th *Thread) boundEnd(slot int) error {
 	for _, idx := range flush(&th.lazy) {
 		cleanup(idx)
 	}
-	th.m.muGlobal.Lock()
+	locked := th.lockGlobal()
 	globalTouched := append([]int(nil), flush(&th.m.globalLazy)...)
-	th.m.muGlobal.Unlock()
+	if locked {
+		th.unlockGlobal()
+	}
 	for _, idx := range globalTouched {
 		cleanup(idx)
 	}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"tesla/internal/automata"
 	"tesla/internal/core"
@@ -176,6 +177,101 @@ func TestGlobalContextSharedAcrossThreads(t *testing.T) {
 	}
 	if m.GlobalStore().LiveCount(auto.Class) != 0 {
 		t.Error("cleanup did not expunge global instances")
+	}
+}
+
+// TestGlobalLazyInitVisibleAfterInit runs thread B's first keyed event at
+// the first moment thread A's lazy «init» decision for a global automaton
+// is visible to other threads. B's event must find the parent instance
+// that A's «init» creates. Were the decision visible before the «init»
+// reached the store, B's prepare(2) would find no instance to clone and be
+// dropped, and B's site would report a violation.
+func TestGlobalLazyInitVisibleAfterInit(t *testing.T) {
+	src := `TESLA_GLOBAL(call(start_op), returnfrom(end_op), previously(prepare(x) == 0))`
+	auto := mustAuto(t, "glob", src, nil)
+	h := core.NewCountingHandler()
+	m := MustNew(Options{Handler: h}, auto)
+	a, b := m.NewThread(), m.NewThread()
+
+	fired := false
+	globalInitHook = func() {
+		if fired {
+			return
+		}
+		fired = true
+		b.Call("prepare", 2)
+		b.Return("prepare", 0, 2)
+	}
+	defer func() { globalInitHook = nil }()
+
+	a.Call("start_op")
+	a.Call("prepare", 1)
+	a.Return("prepare", 0, 1)
+	if !fired {
+		t.Fatal("A's first event decided no lazy «init»")
+	}
+	b.Site("glob", 2)
+	a.Site("glob", 1)
+	a.Return("end_op", 0)
+	if vs := h.Violations(); len(vs) != 0 {
+		t.Fatalf("B's event raced A's «init»: %v", vs)
+	}
+}
+
+// reentrantHandler re-enters the monitor through th when the first
+// instance is created, that is, from inside th's global lazy «init».
+type reentrantHandler struct {
+	core.NopHandler
+	th       *Thread
+	reenters int
+}
+
+func (h *reentrantHandler) InstanceNew(cls *core.Class, inst *core.Instance) {
+	if h.reenters > 0 {
+		return
+	}
+	h.reenters++
+	// A per-thread bound's entry and exit touch the global lazy state too.
+	h.th.Call("amd64_syscall")
+	h.th.Return("amd64_syscall", 0)
+	h.th.Call("prepare", 3)
+	h.th.Return("prepare", 0, 3)
+}
+
+// TestGlobalLazyInitReentrantHandler pins the answer to "can a handler
+// deadlock by re-entering the monitor during a global lazy «init»?": the
+// «init» is sent with the monitor's global lock held, and a handler that
+// re-enters through the same Thread must complete, with its events applied.
+func TestGlobalLazyInitReentrantHandler(t *testing.T) {
+	glob := mustAuto(t, "glob",
+		`TESLA_GLOBAL(call(start_op), returnfrom(end_op), previously(prepare(x) == 0))`, nil)
+	sys := mustAuto(t, "sys", `TESLA_SYSCALL_PREVIOUSLY(chk(x) == 0)`, nil)
+	counting := core.NewCountingHandler()
+	rh := &reentrantHandler{}
+	m := MustNew(Options{Handler: core.MultiHandler{counting, rh}}, glob, sys)
+	th := m.NewThread()
+	rh.th = th
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th.Call("start_op")
+		th.Call("prepare", 1)
+		th.Return("prepare", 0, 1)
+		th.Site("glob", 3)
+		th.Site("glob", 1)
+		th.Return("end_op", 0)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler re-entering during a global lazy «init» deadlocked")
+	}
+	if rh.reenters != 1 {
+		t.Fatalf("handler re-entered %d time(s), want 1", rh.reenters)
+	}
+	if vs := counting.Violations(); len(vs) != 0 {
+		t.Fatalf("re-entrant events lost: %v", vs)
 	}
 }
 

@@ -108,16 +108,3 @@ type Tap interface {
 type ThreadTap interface {
 	ProgramEvent(ev ProgramEvent)
 }
-
-// BatchThreadTap is the optional batch extension of ThreadTap. When a
-// thread runs the batched event plane (Options.BatchSize > 0) and its sink
-// implements this interface, each ring flush delivers the whole batch in
-// one call, amortising sink locking — this is the Recorder/ring unification:
-// events are staged once in the thread's ring and handed over wholesale.
-// Ownership differs from ProgramEvent's borrowed slices: the events' Vals
-// and InStack slices were copied at staging time and become the sink's to
-// keep; the evs slice itself is only valid during the call.
-type BatchThreadTap interface {
-	ThreadTap
-	ProgramBatch(evs []ProgramEvent)
-}

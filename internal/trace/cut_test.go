@@ -12,8 +12,8 @@ import (
 	"tesla/internal/monitor"
 )
 
-// TestCutPrefixProperty runs a cutter against 8 recording threads (mixing
-// per-event and batched delivery) and concurrent lifecycle handlers. Every
+// TestCutPrefixProperty runs a cutter against 8 recording threads and
+// concurrent lifecycle handlers. Every
 // cut must be strictly ascending and start above the previous cut's last
 // Seq, and over the run delivered + Dropped must equal EventCount. With
 // rings large enough to lose nothing, each cut must be exactly the next
@@ -39,16 +39,7 @@ func TestCutPrefixProperty(t *testing.T) {
 				recording.Add(1)
 				go func(g int) {
 					defer recording.Done()
-					batch := tap.(monitor.BatchThreadTap)
 					for i := 0; i < rounds; i++ {
-						if i%5 == 0 {
-							evs := make([]monitor.ProgramEvent, 1+i%7)
-							for j := range evs {
-								evs[j] = monitor.ProgramEvent{Kind: monitor.ProgCall, Fn: "f", Vals: []core.Value{core.Value(j)}}
-							}
-							batch.ProgramBatch(evs)
-							continue
-						}
 						tap.ProgramEvent(monitor.ProgramEvent{Kind: monitor.ProgCall, Fn: "f", Vals: []core.Value{core.Value(g)}})
 					}
 				}(g)

@@ -118,43 +118,6 @@ func (s *threadSink) ProgramEvent(ev monitor.ProgramEvent) {
 	s.mu.Unlock()
 }
 
-// ProgramBatch implements monitor.BatchThreadTap: a batched thread's ring
-// flush hands over its whole staged batch in one call. The events' Vals and
-// InStack slices were already copied once by the staging ring and ownership
-// transfers here — events are staged once, not re-copied — and the sink
-// pays one lock round and one sequence-counter update per batch instead of
-// per event. Seq assignment happens at flush time, under the sink lock and
-// before the batch's store ops run, so a program event still carries a
-// smaller Seq than the lifecycle events it causes.
-func (s *threadSink) ProgramBatch(evs []monitor.ProgramEvent) {
-	if len(evs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	base := s.rec.seq.Add(uint64(len(evs))) - uint64(len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		*s.ring.next() = Event{
-			Seq:     base + uint64(i) + 1,
-			Thread:  s.id,
-			Kind:    KindProgram,
-			Time:    ev.Time,
-			Prog:    ev.Kind,
-			Fn:      ev.Fn,
-			Field:   ev.Field,
-			Op:      ev.Op,
-			Auto:    ev.Auto,
-			Sym:     ev.Sym,
-			Slot:    ev.Slot,
-			Ret:     ev.Ret,
-			HasRet:  ev.HasRet,
-			Vals:    ev.Vals,
-			InStack: ev.InStack,
-		}
-	}
-	s.mu.Unlock()
-}
-
 // lifeEvent stamps and records one lifecycle event. Handlers are dispatched
 // after the store has released its locks, so this only has to serialise
 // against other recorder users. DropFault, when set, can reject the event

@@ -70,11 +70,6 @@ func ReplayOpts(t *Trace, autos []*automata.Automaton, opts monitor.Options) (*R
 	counting := core.NewCountingHandler()
 	opts.Handler = counting
 	opts.FailFast = false
-	// Replay is the reference path: it must reproduce live verdicts exactly
-	// whether the live run batched or not, so the replay monitor never
-	// batches — a caller's BatchSize (tesla-run flags forwarded wholesale)
-	// must not leak in.
-	opts.BatchSize = 0
 	m, err := monitor.New(opts, autos...)
 	if err != nil {
 		return nil, err
@@ -122,9 +117,6 @@ func Feed(t *Trace, m *monitor.Monitor) error {
 			return fmt.Errorf("trace: event #%d (%s): %w", ev.Seq, ev, err)
 		}
 	}
-	// Defensive drain for caller-built monitors that do batch (Replay's own
-	// monitors never do): the final verdicts must reflect every fed event.
-	m.Drain()
 	return nil
 }
 
@@ -182,8 +174,6 @@ func RerecordOpts(events []Event, autos []*automata.Automaton, opts monitor.Opti
 	opts.Handler = rec
 	opts.Tap = rec
 	opts.FailFast = false
-	// As in ReplayOpts: re-recording is a reference-path replay.
-	opts.BatchSize = 0
 	m, err := monitor.New(opts, autos...)
 	if err != nil {
 		return nil, err
