@@ -5,7 +5,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (native Go fuzzing syntax).
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg compile-gate bench-compile crash-gate perfbench-test
+.PHONY: ci fmt vet build test race check bench fuzz-smoke bench-compare cache-gate bench-rebuild chaos-gate bench-faults liveness-gate agg-gate bench-agg compile-gate crash-gate perfbench-test
 
 ci: fmt vet build test race check liveness-gate cache-gate chaos-gate agg-gate compile-gate crash-gate perfbench-test fuzz-smoke bench-compare
 
@@ -84,7 +84,8 @@ cache-gate: build
 
 # Fault-injection gate: the chaos property suite (deterministic seeded
 # injector, fixed seed matrix baked into the tests) under the race detector.
-# Covers reference-vs-sharded parity under injected allocation failures at
+# Covers oracle-vs-production parity (per-thread store and the striped
+# global store at 1-16 stripes) under injected allocation failures at
 # 1%/10%/50%, cross-class quarantine isolation, exact suppression and
 # handler-panic accounting, and concurrent no-deadlock/no-corruption
 # invariants — plus the injector's own determinism tests and the monitor's
@@ -94,7 +95,7 @@ chaos-gate:
 	$(GO) test -race -count=1 ./internal/core -run 'TestChaos'
 	$(GO) test -race -count=1 ./internal/monitor -run 'TestSupervision|TestHealth'
 
-# Supervision-policy cost ladder on the sharded store (drop-new vs
+# Supervision-policy cost ladder on the striped global store (drop-new vs
 # evict-oldest vs quarantine vs injected faults); target <3% per rung.
 bench-faults:
 	$(GO) run ./cmd/tesla-bench -fig faults
@@ -115,24 +116,22 @@ agg-gate: build
 bench-agg:
 	$(GO) run ./cmd/tesla-bench -fig agg
 
-# Compiled-engine gate: the schedule-exploring compiled-vs-interpreted
-# differential under the race detector. Covers >=1000 seeded schedules per
-# sweep across the single-mutex reference store and stripe counts 1-16
+# Compiled-engine gate: the schedule-exploring differential under the race
+# detector. The test oracle (the interpreted walk over a per-thread store's
+# single table) is compared after every event with both production bodies:
+# the per-thread store in every schedule and the striped global store at
+# 1/2/4/8/16 stripes in turn. TestDifferentialShardedVsReference and
+# TestEngineDifferential sweep 2,450 seeded schedules between them
 # (supervision matrix: overflow policies, quarantine/re-arm, strict and
-# required symbols, resets), the same sweeps under injected allocation
-# failures, the automaton-level lowering /
-# image round-trip / corrupt-image-rejection suite, and the build graph's
-# per-class engine cache cutoffs.
+# required symbols, resets), TestEngineDifferentialInjected 450 more
+# under injected allocation failures, and TestDifferentialSingleStripe 100 at
+# one stripe. Then the automaton-level lowering / image round-trip /
+# corrupt-image-rejection suite and the build graph's per-class engine cache
+# cutoffs.
 compile-gate:
-	$(GO) test -race -count=1 ./internal/core -run 'TestEngineDifferential|TestTransitionSet|TestInitTransition'
+	$(GO) test -race -count=1 ./internal/core -run 'TestDifferentialShardedVsReference|TestEngineDifferential|TestDifferentialSingleStripe|TestTransitionSet|TestInitTransition'
 	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestAttachEngine|TestStepUnifiedContract'
 	$(GO) test -race -count=1 ./internal/build -run 'TestEngineNode|TestAssertionEditRelowersOneClass|TestBodyEditKeepsEngines'
-
-# Compile figure: interpreted transition walk vs the compiled step engines,
-# with the shared noise gate and the >=1.5x single-thread speedup floor
-# enforced by the figure itself.
-bench-compile:
-	$(GO) run ./cmd/tesla-bench -fig compile
 
 # Crash-consistency gate: the WAL spool's torn-tail recovery unit suite,
 # the in-process randomized crash schedules (producer/server kills and
@@ -156,8 +155,7 @@ perfbench-test:
 
 # Short fuzz pass over the binary/JSON trace codec, the streaming frame
 # reader, the WAL spool's segment repair, the csub front end and the
-# compiled-vs-interpreted step differential
-# ($(FUZZTIME) per target); saved crashers land in testdata/fuzz and fail
+# oracle-vs-production step differential ($(FUZZTIME) per target); saved crashers land in testdata/fuzz and fail
 # `make test` from then on.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
@@ -166,13 +164,9 @@ fuzz-smoke:
 	$(GO) test ./internal/csub -run '^$$' -fuzz '^FuzzCsubParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCompiledStep$$' -fuzztime $(FUZZTIME)
 
-# Store benchmarks, single-mutex reference vs sharded, diffed with benchstat
-# when it is installed (the benchmark names match across runs by design).
+# Store benchmark: one keyed check event on the test oracle, the per-thread
+# store, and the global store at 1 stripe and at GOMAXPROCS stripes. It
+# fails when the per-thread store's compiled body is under 1.5x the oracle's
+# interpreted walk; -v prints the measured ratio.
 bench-compare:
-	@TESLA_STORE_SHARDS=1 $(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store-old.txt
-	@$(GO) test ./internal/core -run '^$$' -bench 'StoreOLTP' -benchtime 0.5s -count 5 | tee /tmp/tesla-store-new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat /tmp/tesla-store-old.txt /tmp/tesla-store-new.txt; \
-	else \
-		echo "benchstat not installed; raw results above (old = mutex, new = sharded)"; \
-	fi
+	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkStore$$' -benchtime 0.5s -count 3 -v

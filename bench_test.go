@@ -226,23 +226,32 @@ func BenchmarkFig14bRedraw(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreUpdateState is the hot-path cost of one libtesla event.
+// BenchmarkCoreUpdateState is the hot-path cost of one libtesla event. The
+// plans are lowered once, as the monitor does at link time, so the loop
+// times events rather than lowering.
 func BenchmarkCoreUpdateState(b *testing.B) {
 	cls := &core.Class{Name: "bench", States: 5, Limit: 8}
 	s := core.NewStore(core.PerThread, nil)
 	s.Register(cls)
-	enter := core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}}
-	check := core.TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-	exit := core.TransitionSet{
-		{From: 1, To: 4, Flags: core.TransCleanup},
-		{From: 2, To: 4, Flags: core.TransCleanup},
-	}
+	enter, check, exit := coreBenchPlans(cls)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.UpdateState(cls, "enter", 0, core.AnyKey, enter)
-		s.UpdateState(cls, "check", 0, core.NewKey(core.Value(i&7)), check)
-		s.UpdateState(cls, "exit", 0, core.AnyKey, exit)
+		s.UpdateStatePlan(enter, core.AnyKey)
+		s.UpdateStatePlan(check, core.NewKey(core.Value(i&7)))
+		s.UpdateStatePlan(exit, core.AnyKey)
 	}
+}
+
+// coreBenchPlans lowers the core benchmarks' bound automaton: enter opens
+// an unkeyed instance, check clones and advances keyed ones, exit finalises.
+func coreBenchPlans(cls *core.Class) (enter, check, exit *core.SymbolPlan) {
+	enter = core.NewSymbolPlan(cls, "enter", 0, core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}})
+	check = core.NewSymbolPlan(cls, "check", 0, core.TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}})
+	exit = core.NewSymbolPlan(cls, "exit", 0, core.TransitionSet{
+		{From: 1, To: 4, Flags: core.TransCleanup},
+		{From: 2, To: 4, Flags: core.TransCleanup},
+	})
+	return
 }
 
 // BenchmarkAblationPreallocation compares preallocated instance tables of
@@ -254,19 +263,14 @@ func BenchmarkAblationPreallocation(b *testing.B) {
 			cls := &core.Class{Name: "prealloc", States: 5, Limit: limit}
 			s := core.NewStore(core.PerThread, nil)
 			s.Register(cls)
-			enter := core.TransitionSet{{From: 0, To: 1, Flags: core.TransInit}}
-			check := core.TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-			exit := core.TransitionSet{
-				{From: 1, To: 4, Flags: core.TransCleanup},
-				{From: 2, To: 4, Flags: core.TransCleanup},
-			}
+			enter, check, exit := coreBenchPlans(cls)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.UpdateState(cls, "enter", 0, core.AnyKey, enter)
+				s.UpdateStatePlan(enter, core.AnyKey)
 				for j := 0; j < 4; j++ {
-					s.UpdateState(cls, "check", 0, core.NewKey(core.Value(j)), check)
+					s.UpdateStatePlan(check, core.NewKey(core.Value(j)))
 				}
-				s.UpdateState(cls, "exit", 0, core.AnyKey, exit)
+				s.UpdateStatePlan(exit, core.AnyKey)
 			}
 		})
 	}
@@ -312,10 +316,7 @@ int main(int n) { return run(n); }
 }
 
 // BenchmarkVMOverhead compares instrumented vs uninstrumented execution of
-// the same program on the IR interpreter. The instrumented rung runs twice:
-// through the compiled step engines (the default) and pinned to the
-// interpreted transition walk (NoEngine) — the gap between the two is the
-// interpreter tax the engines remove.
+// the same program on the IR interpreter.
 func BenchmarkVMOverhead(b *testing.B) {
 	src := map[string]string{"p.c": `
 int chk(int x) { return 0; }
@@ -339,7 +340,6 @@ int main(int n) { return work(n); }
 	}{
 		{"plain", false, monitor.Options{}},
 		{"instrumented", true, monitor.Options{}},
-		{"instrumented-noengine", true, monitor.Options{NoEngine: true}},
 	}
 	for _, r := range rungs {
 		b.Run(r.name, func(b *testing.B) {

@@ -7,7 +7,7 @@
 //
 //	tesla-bench -all
 //	tesla-bench -table 1
-//	tesla-bench -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|compile
+//	tesla-bench -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg
 //
 // -fig elide (alias: elision) prints the hook/instruction counts of the
 // three elision rungs: full instrumentation, safety-only elision, and
@@ -25,13 +25,13 @@ import (
 func main() {
 	all := flag.Bool("all", false, "run everything")
 	table := flag.String("table", "", "regenerate a table (1)")
-	fig := flag.String("fig", "", "regenerate a figure (9, 10, 11a, 11b, 12, 13, 14a, 14b, elide, trace, shard, rebuild, faults, agg, compile)")
+	fig := flag.String("fig", "", "regenerate a figure (9, 10, 11a, 11b, 12, 13, 14a, 14b, elide, trace, shard, rebuild, faults, agg)")
 	iters := flag.Int("iters", 2000, "iterations per measurement")
 	files := flag.Int("files", 24, "files in the figure 10 synthetic codebase")
 	flag.Parse()
 
 	if !*all && *table == "" && *fig == "" {
-		fmt.Fprintln(os.Stderr, "usage: tesla-bench -all | -table 1 | -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg|compile")
+		fmt.Fprintln(os.Stderr, "usage: tesla-bench -all | -table 1 | -fig 9|10|11a|11b|12|13|14a|14b|elide|trace|shard|rebuild|faults|agg")
 		os.Exit(2)
 	}
 
@@ -89,8 +89,5 @@ func main() {
 	}
 	if want("agg") {
 		run("agg", func() error { return bench.FigAgg(w, *iters) })
-	}
-	if want("compile") {
-		run("compile", func() error { return bench.FigCompile(w, *iters) })
 	}
 }

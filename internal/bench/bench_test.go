@@ -229,18 +229,3 @@ func TestElisionRuns(t *testing.T) {
 		t.Fatalf("table output:\n%s", buf.String())
 	}
 }
-
-func TestFigCompileMeasureBothPaths(t *testing.T) {
-	// Interpreted and compiled: every cell of the compile figure must
-	// measure cleanly (the speedup itself is asserted by `make
-	// bench-compile`, which runs the full noise-gated figure).
-	for _, noEngine := range []bool{false, true} {
-		evs, err := FigCompileMeasure(noEngine, 2, 2000)
-		if err != nil {
-			t.Fatalf("noEngine=%v: %v", noEngine, err)
-		}
-		if evs <= 0 {
-			t.Fatalf("noEngine=%v: nonpositive throughput %v", noEngine, evs)
-		}
-	}
-}

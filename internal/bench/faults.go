@@ -5,8 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"tesla/internal/core"
 	"tesla/internal/faultinject"
@@ -15,14 +13,14 @@ import (
 // FigFaults measures what the supervision layer (failure policies, overflow
 // degradation, quarantine bookkeeping, out-of-lock notification dispatch)
 // costs on the monitored fast path. It reuses the OLTP session workload of
-// the shard figure — a pool of keyed sessions driven through the sharded
-// store — and walks the policy ladder: the
+// the shard figure — a pool of keyed sessions driven through the striped
+// global store, plans lowered once — and walks the policy ladder: the
 // drop-new default (the seed's behaviour, now routed through the policy
 // machinery), evict-oldest, quarantine, and drop-new with the fault
 // injector armed at 1% allocation failures. Sessions fit the instance limit,
 // so the ladder prices the supervision plumbing itself, not degraded
-// operation: the acceptance bar is <3% regression versus the PR 3 shard
-// figure's throughput on the same workload.
+// operation: the acceptance bar is <3% regression versus the shard
+// figure's 8-stripe throughput on the same workload.
 
 // figFaultsVariant is one rung of the policy ladder.
 type figFaultsVariant struct {
@@ -52,39 +50,6 @@ func figFaultsVariants() []figFaultsVariant {
 	}
 }
 
-// FigFaultsMeasure drives the shard-figure session workload through a store
-// built with the variant's options and returns events/sec.
-func FigFaultsMeasure(opts core.StoreOpts, g, total int) float64 {
-	cls := &core.Class{Name: "session", States: 8, Limit: shardFigLimit}
-	s := core.NewStoreOpts(opts)
-	s.Register(cls)
-	enter, work, site := shardFigTransitions()
-	for k := 0; k < shardFigSessions; k++ {
-		s.UpdateState(cls, "enter", 0, core.NewKey(core.Value(k)), enter)
-	}
-
-	perG := total / g
-	var wg sync.WaitGroup
-	start := time.Now()
-	for t := 0; t < g; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			base := (t * shardFigKeysPerG) % shardFigSessions
-			for i := 0; i < perG; i++ {
-				key := core.NewKey(core.Value(base + i%shardFigKeysPerG))
-				if i%8 == 7 {
-					s.UpdateState(cls, "site", core.SymRequired, key, site)
-				} else {
-					s.UpdateState(cls, "work", 0, key, work)
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	return float64(perG*g) / time.Since(start).Seconds()
-}
-
 // FigFaults prints the supervision-policy throughput ladder. The ladder is
 // measured single-goroutine: the acceptance question is what the policy
 // machinery costs per event on the hot path, and one goroutine isolates
@@ -93,9 +58,11 @@ func FigFaultsMeasure(opts core.StoreOpts, g, total int) float64 {
 // the same store and workload is the shard figure's job. Variants are
 // measured in interleaved rounds and the per-rung median is reported.
 func FigFaults(w io.Writer, iters int) error {
+	// The compiled path runs millions of events per second; shorter runs
+	// would time set-up and scheduler noise rather than events.
 	total := iters * 8
-	if total < 64000 {
-		total = 64000
+	if total < shardFigMinEvents {
+		total = shardFigMinEvents
 	}
 	// One P for one goroutine: extra Ps on small hosts only add runtime
 	// churn between the interleaved rounds.
@@ -106,7 +73,7 @@ func FigFaults(w io.Writer, iters int) error {
 	samples := make([][]float64, len(variants))
 	for r := 0; r < rounds; r++ {
 		for i, v := range variants {
-			samples[i] = append(samples[i], FigFaultsMeasure(v.opts(), 1, total))
+			samples[i] = append(samples[i], shardFigRun(v.opts(), 1, total))
 		}
 	}
 	// Median per rung: with the rounds interleaved, slow drift (frequency
@@ -118,13 +85,13 @@ func FigFaults(w io.Writer, iters int) error {
 		med[i] = samples[i][len(samples[i])/2]
 	}
 
-	fmt.Fprintln(w, "Figure faults: supervision-policy cost on the sharded store (OLTP sessions)")
+	fmt.Fprintln(w, "Figure faults: supervision-policy cost on the striped global store (OLTP sessions)")
 	fmt.Fprintf(w, "  %-22s %14s %10s\n", "policy", "events/s", "vs default")
 	for i, v := range variants {
 		fmt.Fprintf(w, "  %-22s %14.0f %9.2f%%\n", v.name, med[i], (med[i]/med[0]-1)*100)
 	}
 	fmt.Fprintln(w, "  target: every rung within 3% of the drop-new default, which itself must")
-	fmt.Fprintln(w, "  stay within 3% of the shard figure's sharded throughput — the policy and")
+	fmt.Fprintln(w, "  stay within 3% of the shard figure's 8-stripe throughput — the policy and")
 	fmt.Fprintln(w, "  injection seams are branches on data already under the stripe lock")
 	fmt.Fprintln(w)
 	return nil

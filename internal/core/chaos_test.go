@@ -32,13 +32,12 @@ func healthOf(s *Store, cls *Class) [5]uint64 {
 	return [5]uint64{h.Violations, h.Overflows, h.Evictions, h.Suppressed, h.Quarantines}
 }
 
-// runChaosDifferential drives one randomised schedule with injected
-// allocation failures through the reference and sharded stores, asserting
-// after every event that verdicts, live counts, instance sets, notification
-// multisets, quarantine state and health counters all agree. The two stores
-// get two injectors built from the same seed, so they see byte-identical
-// fault schedules.
-func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64) {
+// runChaosDifferential drives one randomised 64-event schedule with
+// injected allocation failures through the oracle, the per-thread store and
+// a Global store with the given stripe count (differential_test.go's rig),
+// asserting after every event that verdicts, live counts, instance sets,
+// notification multisets, quarantine state and health counters all agree.
+func runChaosDifferential(t *testing.T, seed int64, stripes int, rate float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pol := chaosPolicies[rng.Intn(len(chaosPolicies))]
@@ -53,80 +52,21 @@ func runChaosDifferential(t *testing.T, seed int64, shards int, rate float64) {
 		RearmEvents:     1 + rng.Intn(6),
 	}
 	states := uint32(3 + rng.Intn(3))
-
-	injRef := faultinject.New(uint64(seed))
-	injSh := faultinject.New(uint64(seed))
-	injRef.SetRate(faultinject.SiteAlloc, rate)
-	injSh.SetRate(faultinject.SiteAlloc, rate)
-
-	href := &noteHandler{}
-	hsh := &noteHandler{}
-	ref := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: href, Shards: 1,
-		AllocFail: func(c *Class) bool { return injRef.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	sh := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: hsh, Shards: shards,
-		AllocFail: func(c *Class) bool { return injSh.Should(faultinject.SiteAlloc, c.Name) },
-	})
-	failFast := rng.Intn(2) == 0
-	ref.FailFast = failFast
-	sh.FailFast = failFast
-	ref.Register(cls)
-	sh.Register(cls)
-
+	rig := newDiffRig(cls, seed, rate, rng.Intn(2) == 0, stripes)
 	for i, ev := range randSchedule(rng, states, 64) {
-		var errRef, errSh error
-		switch ev.op {
-		case "reset":
-			ref.Reset()
-			sh.Reset()
-		case "resetclass":
-			ref.ResetClass(cls)
-			sh.ResetClass(cls)
-		default:
-			errRef = ref.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
-			errSh = sh.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
-		}
-		if (errRef == nil) != (errSh == nil) {
-			t.Fatalf("seed %d rate %v event %d (%s %s): verdict diverged: ref=%v sharded=%v",
-				seed, rate, i, ev.symbol, ev.key, errRef, errSh)
-		}
-		if qr, qs := ref.Quarantined(cls), sh.Quarantined(cls); qr != qs {
-			t.Fatalf("seed %d rate %v event %d: quarantine diverged: ref=%v sharded=%v",
-				seed, rate, i, qr, qs)
-		}
-		if lr, ls := ref.LiveCount(cls), sh.LiveCount(cls); lr != ls {
-			t.Fatalf("seed %d rate %v event %d (%s %s): live diverged: ref=%d sharded=%d",
-				seed, rate, i, ev.symbol, ev.key, lr, ls)
-		}
-		if ir, is := instSet(ref, cls), instSet(sh, cls); !reflect.DeepEqual(ir, is) {
-			t.Fatalf("seed %d rate %v event %d: instances diverged:\nref:     %v\nsharded: %v",
-				seed, rate, i, ir, is)
-		}
-		if hr, hs := healthOf(ref, cls), healthOf(sh, cls); hr != hs {
-			t.Fatalf("seed %d rate %v event %d: health diverged:\nref:     %v\nsharded: %v",
-				seed, rate, i, hr, hs)
-		}
-		if nr, ns := href.sorted(), hsh.sorted(); !reflect.DeepEqual(nr, ns) {
-			t.Fatalf("seed %d rate %v event %d: notifications diverged:\nref:     %v\nsharded: %v",
-				seed, rate, i, nr, ns)
-		}
+		rig.step(t, fmt.Sprintf("seed %d rate %v event %d", seed, rate, i), ev)
 	}
-	if fr, fs := injRef.TotalFired(), injSh.TotalFired(); fr != fs {
-		t.Fatalf("seed %d rate %v: injectors diverged: ref fired %d, sharded %d", seed, rate, fr, fs)
-	}
+	rig.finish(t, fmt.Sprintf("seed %d rate %v", seed, rate))
 }
 
 // TestChaosDifferentialInjected extends the differential harness with the
-// policy matrix and fault-injected allocation failures at the issue's 1% and
-// 10% rates (plus a brutal 50%), across stripe counts.
+// policy matrix and fault-injected allocation failures at 1% and 10% (plus a
+// brutal 50%), across stripe counts.
 func TestChaosDifferentialInjected(t *testing.T) {
 	n := 0
 	for _, rate := range []float64{0.01, 0.10, 0.50} {
 		for i := 0; i < 150; i++ {
-			shards := []int{2, 4, 8, 16}[i%4]
-			runChaosDifferential(t, int64(5000+i), shards, rate)
+			runChaosDifferential(t, int64(5000+i), diffStripes[i%len(diffStripes)], rate)
 			n++
 		}
 	}
@@ -151,7 +91,7 @@ func classStream(h *noteHandler, cls string) []string {
 // runIsolation drives a hot class A (tiny limit, quarantine policy, injected
 // allocation failures) interleaved with a healthy class B through one store
 // and returns B's exact notification stream and verdict sequence.
-func runIsolation(t *testing.T, shards int, inject bool, rate float64) ([]string, string) {
+func runIsolation(t *testing.T, layout StoreOpts, inject bool, rate float64) ([]string, string) {
 	t.Helper()
 	a := &Class{Name: "iso-a", States: 4, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 2, RearmEvents: 4}
 	b := &Class{Name: "iso-b", States: 4, Limit: 8}
@@ -160,7 +100,7 @@ func runIsolation(t *testing.T, shards int, inject bool, rate float64) ([]string
 	inj.SetRate(faultinject.SiteAlloc, rate)
 	h := &noteHandler{}
 	s := NewStoreOpts(StoreOpts{
-		Context: Global, Handler: h, Shards: shards,
+		Context: layout.Context, Handler: h, Shards: layout.Shards,
 		AllocFail: func(c *Class) bool {
 			if !inject || c.Name != "iso-a" {
 				return false
@@ -205,18 +145,18 @@ func runIsolation(t *testing.T, shards int, inject bool, rate float64) ([]string
 
 // TestChaosCrossClassIsolation: quarantining (and fault-injecting) class A
 // leaves class B's notifications and verdicts byte-identical to an
-// uninjected run, on both store implementations and both issue rates.
+// uninjected run, on both store layouts and both rates.
 func TestChaosCrossClassIsolation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, l := range storeLayouts {
 		for _, rate := range []float64{0.01, 0.10} {
-			baseNotes, baseVerdicts := runIsolation(t, shards, false, rate)
-			injNotes, injVerdicts := runIsolation(t, shards, true, rate)
+			baseNotes, baseVerdicts := runIsolation(t, l.opts, false, rate)
+			injNotes, injVerdicts := runIsolation(t, l.opts, true, rate)
 			if injVerdicts != baseVerdicts {
-				t.Fatalf("shards=%d rate=%v: class B verdicts diverged under class-A faults", shards, rate)
+				t.Fatalf("%s rate=%v: class B verdicts diverged under class-A faults", l.name, rate)
 			}
 			if !reflect.DeepEqual(injNotes, baseNotes) {
-				t.Fatalf("shards=%d rate=%v: class B notifications diverged under class-A faults:\nbase: %v\ninj:  %v",
-					shards, rate, baseNotes, injNotes)
+				t.Fatalf("%s rate=%v: class B notifications diverged under class-A faults:\nbase: %v\ninj:  %v",
+					l.name, rate, baseNotes, injNotes)
 			}
 		}
 	}
@@ -237,13 +177,13 @@ func (h *injectedPanicHandler) Transition(cls *Class, inst *Instance, from, to u
 // TestChaosHandlerPanicRates: with handler panics injected at 1% and 10%,
 // no panic escapes, every panic is counted, and the store keeps monitoring.
 func TestChaosHandlerPanicRates(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, l := range storeLayouts {
 		for _, rate := range []float64{0.01, 0.10} {
 			inj := faultinject.New(77)
 			inj.SetRate(faultinject.SiteHandlerPanic, rate)
 			cls := &Class{Name: "hp", States: 4, Limit: 64}
 			s := NewStoreOpts(StoreOpts{
-				Context: Global, Shards: shards,
+				Context: l.opts.Context, Shards: l.opts.Shards,
 				Handler: &injectedPanicHandler{inj: inj},
 				// Keep the handler in service so every injected panic is
 				// exercised rather than short-circuited by quarantine.
@@ -257,19 +197,19 @@ func TestChaosHandlerPanicRates(t *testing.T) {
 				s.UpdateState(cls, "mid", 0, k, mid)
 			}
 			if got, want := s.HandlerPanics(), inj.Fired(faultinject.SiteHandlerPanic, "hp"); got != want {
-				t.Fatalf("shards=%d rate=%v: recovered %d panics, injector fired %d", shards, rate, got, want)
+				t.Fatalf("%s rate=%v: recovered %d panics, injector fired %d", l.name, rate, got, want)
 			}
 			if got := s.HandlerPanics(); got == 0 {
-				t.Fatalf("shards=%d rate=%v: no panics injected; test lost its teeth", shards, rate)
+				t.Fatalf("%s rate=%v: no panics injected; test lost its teeth", l.name, rate)
 			}
 			if n := s.LiveCount(cls); n != 64 {
-				t.Fatalf("shards=%d rate=%v: live=%d, monitoring degraded by handler faults", shards, rate, n)
+				t.Fatalf("%s rate=%v: live=%d, monitoring degraded by handler faults", l.name, rate, n)
 			}
 		}
 	}
 }
 
-// TestChaosConcurrentInvariants hammers a sharded store from several
+// TestChaosConcurrentInvariants hammers a striped Global store from several
 // goroutines with every policy active, allocation failures and handler
 // panics injected at 10%, and trace-style re-entrant reads mixed in. The
 // schedule must complete (no deadlock — enforced by a watchdog), leave
@@ -365,7 +305,7 @@ func TestChaosConcurrentInvariants(t *testing.T) {
 
 // TestChaosSuppressionExact: health counters account for every suppressed
 // event exactly. The schedule is built so the quarantine/re-arm trajectory
-// is fully predictable, then asserted event-for-event on both stores.
+// is fully predictable, then asserted event-for-event on both layouts.
 func TestChaosSuppressionExact(t *testing.T) {
 	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
 		cls := &Class{Name: "sup", States: 3, Limit: 1, Overflow: QuarantineClass, QuarantineAfter: 1, RearmEvents: 10}

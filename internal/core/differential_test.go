@@ -7,18 +7,23 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"tesla/internal/faultinject"
 )
 
-// Differential property harness: the sharded lock-striped store must be
-// observationally equivalent to the seed single-mutex store (the reference
-// model, selected with Shards: 1). Identical randomised event schedules —
-// init, update, clone, cleanup over random keys, ANY patterns, strict and
-// required events, overflow — are driven through both stores, asserting
-// identical verdicts, live counts, instance sets and handler notification
+// Differential property harness: both production event bodies — the
+// per-thread store's and the striped Global store's — must be
+// observationally equivalent to the oracle (oracle_test.go), the
+// interpreted walk. Identical randomised event schedules — init, update,
+// clone, cleanup over random keys, ANY patterns, strict and required
+// events, overflow, resets — are driven through the oracle and every
+// production store, asserting identical verdicts, live counts, instance
+// sets, quarantine state, health counters and handler notification
 // multisets after every event. Notification order within one event may
 // differ (slot numbering diverges once frees interleave with allocations),
 // so notifications are compared as multisets, which is also the only
-// meaningful comparison once the sharded store runs concurrently.
+// meaningful comparison once the striped store runs concurrently. This is
+// the `make compile-gate` suite.
 
 // noteHandler records every notification as a serialised line.
 type noteHandler struct {
@@ -141,15 +146,135 @@ func instSet(s *Store, cls *Class) []string {
 	return out
 }
 
-// runDifferential drives one schedule through both stores and compares them
-// after every event.
-func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
+// planCache memoizes one schedule's lowered plans per (symbol, flags): the
+// engine contract is link-time lowering, one plan reused for every event of
+// that symbol — allocating per event would hide staleness bugs.
+type planCache map[string]*SymbolPlan
+
+func (pc planCache) plan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSet) *SymbolPlan {
+	id := symbol + string(rune('0'+flags))
+	p, ok := pc[id]
+	if !ok {
+		p = NewSymbolPlan(cls, symbol, flags, ts)
+		pc[id] = p
+	}
+	return p
+}
+
+// diffStore is one store under differential test: the oracle or a
+// production store, with its own handler and fault injector.
+type diffStore struct {
+	name string
+	*Store
+	update func(*SymbolPlan, Key) error
+	h      *noteHandler
+	inj    *faultinject.Injector
+}
+
+// diffRig drives one schedule through the oracle and production stores —
+// the per-thread store and a Global store per requested stripe count — and
+// compares every production store with the oracle after each event.
+type diffRig struct {
+	cls    *Class
+	stores []diffStore // stores[0] is the oracle
+	plans  planCache
+}
+
+// newDiffRig builds the oracle and production stores for cls. With rate > 0
+// each store gets its own allocation-fault injector built from seed, so all
+// of them see byte-identical fault schedules; with rate 0 no injector is
+// armed, which keeps the striped layout's free-headroom lock planning in
+// play.
+func newDiffRig(cls *Class, seed int64, rate float64, failFast bool, stripes ...int) *diffRig {
+	r := &diffRig{cls: cls, plans: planCache{}}
+	add := func(name string, o StoreOpts) {
+		d := diffStore{name: name, h: &noteHandler{}, inj: faultinject.New(uint64(seed))}
+		o.Handler = d.h
+		if rate > 0 {
+			inj := d.inj
+			inj.SetRate(faultinject.SiteAlloc, rate)
+			o.AllocFail = func(c *Class) bool { return inj.Should(faultinject.SiteAlloc, c.Name) }
+		}
+		if name == "oracle" {
+			orc := newOracle(o)
+			d.Store, d.update = orc.Store, orc.UpdateStatePlan
+		} else {
+			d.Store = NewStoreOpts(o)
+			d.update = d.Store.UpdateStatePlan
+		}
+		d.FailFast = failFast
+		d.Register(cls)
+		r.stores = append(r.stores, d)
+	}
+	add("oracle", StoreOpts{})
+	add("per-thread", StoreOpts{Context: PerThread})
+	for _, n := range stripes {
+		add(fmt.Sprintf("global/%d", n), StoreOpts{Context: Global, Shards: n})
+	}
+	return r
+}
+
+// step applies one event to every store and fails the test at the first
+// observable divergence from the oracle: verdict, live count, instance set,
+// quarantine state, health counters or notification multiset. where names
+// the event in failure messages.
+func (r *diffRig) step(t *testing.T, where string, ev diffEvent) {
+	t.Helper()
+	errs := make([]error, len(r.stores))
+	for i, d := range r.stores {
+		switch ev.op {
+		case "reset":
+			d.Reset()
+		case "resetclass":
+			d.ResetClass(r.cls)
+		default:
+			errs[i] = d.update(r.plans.plan(r.cls, ev.symbol, ev.flags, ev.ts), ev.key)
+		}
+	}
+	o := r.stores[0]
+	at := fmt.Sprintf("%s (%s %s %s)", where, ev.op, ev.symbol, ev.key)
+	for i, d := range r.stores[1:] {
+		if (errs[0] == nil) != (errs[i+1] == nil) {
+			t.Fatalf("%s: %s verdict diverged: oracle=%v store=%v", at, d.name, errs[0], errs[i+1])
+		}
+		if lo, ld := o.LiveCount(r.cls), d.LiveCount(r.cls); lo != ld {
+			t.Fatalf("%s: %s live count diverged: oracle=%d store=%d", at, d.name, lo, ld)
+		}
+		if io, id := instSet(o.Store, r.cls), instSet(d.Store, r.cls); !reflect.DeepEqual(io, id) {
+			t.Fatalf("%s: %s instances diverged:\noracle: %v\nstore:  %v", at, d.name, io, id)
+		}
+		if qo, qd := o.Quarantined(r.cls), d.Quarantined(r.cls); qo != qd {
+			t.Fatalf("%s: %s quarantine diverged: oracle=%v store=%v", at, d.name, qo, qd)
+		}
+		if ho, hd := healthOf(o.Store, r.cls), healthOf(d.Store, r.cls); ho != hd {
+			t.Fatalf("%s: %s health diverged:\noracle: %v\nstore:  %v", at, d.name, ho, hd)
+		}
+		if no, nd := o.h.sorted(), d.h.sorted(); !reflect.DeepEqual(no, nd) {
+			t.Fatalf("%s: %s notification multisets diverged:\noracle: %v\nstore:  %v", at, d.name, no, nd)
+		}
+	}
+}
+
+// finish checks that every store consulted its fault injector exactly as
+// often as the oracle did.
+func (r *diffRig) finish(t *testing.T, where string) {
+	t.Helper()
+	for _, d := range r.stores[1:] {
+		if fo, fd := r.stores[0].inj.TotalFired(), d.inj.TotalFired(); fo != fd {
+			t.Fatalf("%s: %s injector diverged: oracle fired %d, store %d", where, d.name, fo, fd)
+		}
+	}
+}
+
+// runDifferential drives one randomised 48-event schedule through the
+// oracle, the per-thread store and a Global store with the given stripe
+// count.
+func runDifferential(t *testing.T, seed int64, stripes int, failFast bool, rate float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	// Small limits make overflow reachable; vary them per schedule, along
 	// with the overflow-degradation policy so the whole supervision matrix
-	// rides the same 1300+-schedule sweep (chaos_test.go adds injected
-	// allocation failures on top).
+	// rides the same sweep (chaos_test.go adds a second class shape).
 	cls := &Class{
 		Name: "diff", States: 8, Limit: 2 + rng.Intn(8),
 		Overflow:        []OverflowPolicy{DropNew, EvictOldest, QuarantineClass}[rng.Intn(3)],
@@ -157,83 +282,61 @@ func runDifferential(t *testing.T, seed int64, shards int, failFast bool) {
 		RearmEvents:     1 + rng.Intn(8),
 	}
 	states := uint32(3 + rng.Intn(3))
-
-	href := &noteHandler{}
-	hsh := &noteHandler{}
-	ref := NewStoreOpts(StoreOpts{Context: Global, Handler: href, Shards: 1})
-	sh := NewStoreOpts(StoreOpts{Context: Global, Handler: hsh, Shards: shards})
-	ref.FailFast = failFast
-	sh.FailFast = failFast
-	ref.Register(cls)
-	sh.Register(cls)
-	if !sh.Sharded() || ref.Sharded() {
-		t.Fatalf("impl selection broken: ref sharded=%v sh sharded=%v", ref.Sharded(), sh.Sharded())
-	}
-
+	rig := newDiffRig(cls, seed, rate, failFast, stripes)
 	for i, ev := range randSchedule(rng, states, 48) {
-		var errRef, errSh error
-		switch ev.op {
-		case "reset":
-			ref.Reset()
-			sh.Reset()
-		case "resetclass":
-			ref.ResetClass(cls)
-			sh.ResetClass(cls)
-		default:
-			errRef = ref.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
-			errSh = sh.UpdateState(cls, ev.symbol, ev.flags, ev.key, ev.ts)
-		}
-		if (errRef == nil) != (errSh == nil) {
-			t.Fatalf("seed %d event %d (%s %s): verdict diverged: ref=%v sharded=%v",
-				seed, i, ev.symbol, ev.key, errRef, errSh)
-		}
-		if lr, ls := ref.LiveCount(cls), sh.LiveCount(cls); lr != ls {
-			t.Fatalf("seed %d event %d (%s %s): live count diverged: ref=%d sharded=%d",
-				seed, i, ev.symbol, ev.key, lr, ls)
-		}
-		if ir, is := instSet(ref, cls), instSet(sh, cls); !reflect.DeepEqual(ir, is) {
-			t.Fatalf("seed %d event %d (%s %s): instances diverged:\nref:     %v\nsharded: %v",
-				seed, i, ev.symbol, ev.key, ir, is)
-		}
-		if qr, qs := ref.Quarantined(cls), sh.Quarantined(cls); qr != qs {
-			t.Fatalf("seed %d event %d: quarantine state diverged: ref=%v sharded=%v", seed, i, qr, qs)
-		}
-		if hr, hs := healthOf(ref, cls), healthOf(sh, cls); hr != hs {
-			t.Fatalf("seed %d event %d: health diverged: ref=%v sharded=%v", seed, i, hr, hs)
-		}
-		if nr, ns := href.sorted(), hsh.sorted(); !reflect.DeepEqual(nr, ns) {
-			t.Fatalf("seed %d event %d (%s %s): notification multisets diverged:\nref:     %v\nsharded: %v",
-				seed, i, ev.symbol, ev.key, nr, ns)
-		}
+		rig.step(t, fmt.Sprintf("seed %d rate %v event %d", seed, rate, i), ev)
 	}
+	rig.finish(t, fmt.Sprintf("seed %d rate %v", seed, rate))
 }
 
-// TestDifferentialShardedVsReference runs ≥1000 randomised schedules against
-// the reference store, covering both fail-fast modes and several stripe
-// counts (including 2, where cross-shard traffic is most likely, and the
-// single-stripe sharded store, which isolates the index/free-list machinery
-// from striping).
+// diffStripes is the Global stripe sweep: one schedule per entry in turn.
+var diffStripes = []int{1, 2, 4, 8, 16}
+
+// TestDifferentialShardedVsReference runs 1,200 randomised schedules
+// (seeds 0–1199) against the oracle, covering both fail-fast modes and
+// every stripe count (including 2, where cross-shard traffic is most
+// likely, and 1, which isolates the index/free-list machinery from
+// striping), with the per-thread store in every schedule.
 func TestDifferentialShardedVsReference(t *testing.T) {
-	const schedules = 1200
-	for i := 0; i < schedules; i++ {
-		shards := []int{2, 4, 8, 16}[i%4]
-		runDifferential(t, int64(i), shards, i%2 == 0)
+	for i := 0; i < 1200; i++ {
+		runDifferential(t, int64(i), diffStripes[i%len(diffStripes)], i%2 == 0, 0)
 	}
 }
 
-// TestDifferentialSingleStripe pins the sharded implementation with one
-// stripe against the reference separately: any divergence here is in the
-// hash index or free list, not the lock planning.
+// TestEngineDifferential sweeps 1,250 more randomised schedules (seeds
+// 40000–41249) over both production bodies, the per-thread store in every
+// schedule and the Global store at each stripe count in turn, in both
+// fail-fast modes.
+func TestEngineDifferential(t *testing.T) {
+	for i := 0; i < 1250; i++ {
+		runDifferential(t, int64(40000+i), diffStripes[i%len(diffStripes)], i%2 == 0, 0)
+	}
+}
+
+// TestEngineDifferentialInjected repeats the sweep with allocation failures
+// injected at 1%, 10% and 50%: the compiled claim paths must degrade —
+// drop, evict, quarantine, suppress — exactly like the oracle.
+func TestEngineDifferentialInjected(t *testing.T) {
+	for _, rate := range []float64{0.01, 0.10, 0.50} {
+		for i := 0; i < 150; i++ {
+			runDifferential(t, int64(50000+i), diffStripes[i%len(diffStripes)], i%2 == 0, rate)
+		}
+	}
+}
+
+// TestDifferentialSingleStripe pins the Global store at one stripe against
+// the oracle separately: any divergence here is in the hash index or free
+// list, not the lock planning.
 func TestDifferentialSingleStripe(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		runDifferential(t, int64(10000+i), 2, false)
+		runDifferential(t, int64(10000+i), 1, false, 0)
 	}
 }
 
 // TestDifferentialConcurrentPerKey checks linearisable per-key outcomes:
-// goroutines drive disjoint key ranges concurrently into one sharded global
-// store; afterwards each goroutine's schedule replayed alone against a
-// reference store must produce exactly the final instances the shared store
+// goroutines drive disjoint key ranges concurrently into one striped global
+// store; afterwards each goroutine's schedule replayed alone through the
+// oracle must produce exactly the final instances the shared store
 // holds for that goroutine's keys. Keys are made independent by an «init»
 // transition that binds the event key directly (no shared ANY parent), so
 // the decomposition is semantically exact. Run under -race this also proves
@@ -290,7 +393,7 @@ func TestDifferentialConcurrentPerKey(t *testing.T) {
 	}
 
 	for g := 0; g < goroutines; g++ {
-		ref := NewStoreOpts(StoreOpts{Context: Global, Shards: 1})
+		ref := newOracle(StoreOpts{})
 		ref.Register(cls)
 		for _, st := range schedules[g] {
 			ref.UpdateState(cls, st.symbol, st.flags, st.key, st.ts)
@@ -301,7 +404,7 @@ func TestDifferentialConcurrentPerKey(t *testing.T) {
 		}
 		for k, wstate := range want {
 			if gstate, ok := got[k]; !ok || gstate != wstate {
-				t.Errorf("goroutine %d key %s: sharded state %d (present=%v), reference %d",
+				t.Errorf("goroutine %d key %s: striped state %d (present=%v), oracle %d",
 					g, k, gstate, ok, wstate)
 			}
 		}

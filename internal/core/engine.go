@@ -1,9 +1,9 @@
 package core
 
-// The compiled transition engine. The interpreted event bodies (update.go,
-// shard.go) pay a per-event "interpreter tax" that is constant per
-// (class, symbol): they rescan the transition set for every candidate
-// instance, recompute HasCleanup and the «init» selection, and walk Key
+// The compiled transition engine: the one event body of each store layout.
+// An interpreted walk pays a per-event "interpreter tax" that is constant
+// per (class, symbol): it rescans the transition set for every candidate
+// instance, recomputes HasCleanup and the «init» selection, and walks Key
 // comparison bit by bit. A SymbolPlan hoists all of that out of the event
 // loop at automaton-link time — internal/automata lowers each class into a
 // StepEngine holding one plan per alphabet symbol — leaving monomorphic
@@ -17,14 +17,15 @@ package core
 //   - Key compatibility is unrolled for TESLA_KEY_SIZE = 4 into a branchless
 //     mismatch mask, and clone-key unions skip the redundant compatibility
 //     re-check the generic path pays;
-//   - the reference store's candidate snapshot and exact-key probe stop as
-//     soon as every live instance has been seen instead of walking the
-//     whole preallocated block.
+//   - the per-thread candidate snapshot and exact-key probe stop as soon as
+//     every live instance has been seen instead of walking the whole
+//     preallocated block.
 //
-// The interpreted walk survives untouched as the executable differential
-// reference, selectable per store via StoreOpts.NoEngine — the PR 3/4/8
-// pattern: fast path + byte-identical reference + schedule-exploring parity
-// gate (engine_diff_test.go, FuzzCompiledStep).
+// Production runs two bodies: updateRefEngineLocked over a per-thread
+// store's single table and updateShardedEngineBody over a Global store's
+// striped table. The interpreted walk lives on only in the tests, as the
+// oracle both bodies are checked against after every event
+// (oracle_test.go, differential_test.go, FuzzCompiledStep).
 
 import "sync"
 
@@ -33,13 +34,12 @@ import "sync"
 // rather than silently miscompiled.
 const _ = uint(KeySize-4) + uint(4-KeySize)
 
-// notePool recycles engine-path notification buffers. A noteBuf's inline
-// array is several KB, and the interpreted entry points heap-allocate one
-// per event (the buffer escapes into the policy closures and the handler
-// interface); at millions of events per second that allocation — and the GC
-// work of scanning it — is a large share of the per-event cost. The compiled
-// entry point draws buffers from this pool instead, so the steady-state
-// engine path allocates nothing. Safe because notes are delivered to
+// notePool recycles notification buffers. A noteBuf's inline array is
+// several KB, and a buffer that escapes into the handler interface is
+// heap-allocated; at millions of events per second that allocation — and
+// the GC work of scanning it — is a large share of the per-event cost.
+// UpdateStatePlan draws buffers from this pool instead, so the steady-state
+// event path allocates nothing. Safe because notes are delivered to
 // handlers by pointer valid only for the duration of the callback
 // (supervise.go: instances are copied because slots may be reused once the
 // locks drop — the same contract covers the buffer itself).
@@ -55,8 +55,7 @@ func (nb *noteBuf) reset() {
 	nb.spill = nil
 }
 
-// refFail records one violation on the reference store's engine path: the
-// fail closure of updateRefLocked as a direct call.
+// refFail records one violation in a per-thread store.
 func (s *Store) refFail(cs *classState, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
 	cs.health.Violations++
 	nb.add(note{kind: noteFail, cls: cs.cls, v: v})
@@ -65,7 +64,7 @@ func (s *Store) refFail(cs *classState, nb *noteBuf, failStop bool, firstErr *er
 	}
 }
 
-// shardedFail is refFail over the lock-striped store.
+// shardedFail is refFail over the striped layout.
 func (s *Store) shardedFail(sc *shardedClass, nb *noteBuf, failStop bool, firstErr *error, v *Violation) {
 	sc.health.violations.Add(1)
 	nb.add(note{kind: noteFail, cls: sc.cls, v: v})
@@ -78,8 +77,7 @@ func (s *Store) shardedFail(sc *shardedClass, nb *noteBuf, failStop bool, firstE
 // UpdateState derives from the TransitionSet per event, derived once.
 type SymbolPlan struct {
 	// Cls, Symbol, Flags and TS are the arguments the equivalent
-	// interpreted UpdateState call would take; the reference fallback
-	// (StoreOpts.NoEngine) passes them through verbatim.
+	// UpdateState call takes; the test oracle walks TS directly.
 	Cls    *Class
 	Symbol string
 	Flags  SymbolFlags
@@ -281,9 +279,8 @@ func union4(k, o Key) Key {
 	return k
 }
 
-// findExactFast is classState.findExact with an early exit once every live
-// instance has been seen — engine-path only, so the reference store's
-// whole-block scan stays byte-identical.
+// findExactFast returns the active instance with exactly the given key, or
+// nil, stopping once every live instance has been seen.
 func (cs *classState) findExactFast(key Key) *Instance {
 	seen := 0
 	for i := range cs.insts {
@@ -300,18 +297,10 @@ func (cs *classState) findExactFast(key Key) *Instance {
 	return nil
 }
 
-// UpdateStatePlan drives one program event through a compiled plan. It is
-// observably equivalent to
-//
-//	s.UpdateState(p.Cls, p.Symbol, p.Flags, key, p.TS)
-//
-// — and literally is that call when the store was built with
-// StoreOpts.NoEngine, which is how the differential harness runs the same
-// event stream through the interpreted reference.
+// UpdateStatePlan drives one program event through a compiled plan, with
+// the lifecycle and error contract documented on UpdateState. It runs the
+// compiled body of the store's layout.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
-	if s.noEngine {
-		return s.UpdateState(p.Cls, p.Symbol, p.Flags, key, p.TS)
-	}
 	nb := notePool.Get().(*noteBuf)
 	var err error
 	if s.nshards > 0 {
@@ -330,33 +319,28 @@ func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
 	return err
 }
 
-// updateRefEngine locks the reference store and runs the compiled body.
+// updateRefEngine resolves the class in a per-thread store, registering it
+// on first use, and runs the compiled body.
 func (s *Store) updateRefEngine(p *SymbolPlan, key Key, nb *noteBuf) error {
-	s.lock()
-	defer s.unlock()
 	cs := s.classes[p.Cls]
 	if cs == nil {
-		s.unlock()
 		s.Register(p.Cls)
-		s.lock()
 		cs = s.classes[p.Cls]
 	}
 	return s.updateRefEngineLocked(cs, p, key, nb)
 }
 
-// updateRefEngineLocked is the compiled event body over the reference store:
-// the same lifecycle as updateRefLocked (update.go), with the per-event
-// derivations replaced by the plan's tables. Every divergence in behaviour
-// is a bug the differential gate exists to catch.
+// updateRefEngineLocked is the compiled event body over a per-thread
+// store's single table. Every divergence in behaviour from the test oracle's
+// interpreted walk is a bug the differential gate exists to catch.
 func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb *noteBuf) error {
 	cls := cs.cls
 	if s.refQuarGate(cs, nb) {
 		return nil
 	}
 
-	// Direct calls to the policy machinery (refFail/refClaim) instead of the
-	// interpreted body's closures: the closures force nb onto the heap per
-	// event, and the engine's whole point is to leave nothing per-event.
+	// Direct calls to the policy machinery (refFail/refClaim), not
+	// closures: a closure would force nb onto the heap per event.
 	var firstErr error
 	failStop := cs.pol.failureIn(s) == FailStop
 
@@ -374,6 +358,8 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 	for _, c := range live {
 		inst := &cs.insts[c.idx]
 		if !inst.Active || inst.birth != c.birth {
+			// Evicted or expunged mid-event (the slot may already
+			// hold a new occupant, which this event must not drive).
 			continue
 		}
 		if !compatible4(inst.Key, key) {
@@ -384,6 +370,9 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 		if tr == nil {
 			switch {
 			case p.cleanup:
+				// The bound is ending but this instance is stuck in
+				// a non-accepting state: an `eventually` obligation
+				// was never satisfied.
 				s.refFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
 			case p.Flags&SymStrict != 0:
 				s.refFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
@@ -394,12 +383,17 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 		}
 
 		if key.Mask&^inst.Key.Mask != 0 {
-			// Specialisation (compatibility already established): clone.
+			// The event binds variables this instance has not seen
+			// (compatibility already established): clone a more
+			// specific instance and leave the parent. If that instance
+			// exists, it is processed on its own terms.
 			newKey := union4(inst.Key, key)
 			if cs.findExactFast(newKey) != nil {
 				matched = true
 				continue
 			}
+			// Copy the parent before allocating: eviction may free
+			// and immediately reuse the parent's own slot.
 			parent := *inst
 			clone := s.refClaim(cs, nb, failStop, &firstErr, newKey)
 			if clone == nil {
@@ -443,61 +437,80 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 				}
 			}
 		} else if p.Flags&SymRequired != 0 && cs.live > 0 {
+			// Execution reached the assertion site with bindings for
+			// which no instance exists: the events the assertion
+			// requires never happened (fig. 9 “Error”). With no live
+			// instances at all the event arrived outside the bound, and
+			// libtesla ignores events until the next «init».
 			s.refFail(cs, nb, failStop, &firstErr, &Violation{Class: cls, Kind: VerdictNoInstance, Key: key, Symbol: p.Symbol})
 		}
 	}
 
 	if p.cleanup && !cs.quarantined {
+		// A cleanup transition resets the class: all instances are
+		// expunged and events are ignored until the next «init».
 		cs.expunge()
 	}
 
 	return firstErr
 }
 
-// updateShardedEngine is the compiled analogue of updateShardedLocked: the
-// same quarantine gate and plan/lock/re-plan escalation, with the «init»
-// selection and cleanup escalation taken from the plan.
+// updateShardedEngine runs one event over the striped layout: the
+// quarantine gate, then the lock set the event needs. It re-plans under the
+// locks, because another thread may have activated an instance whose mask
+// widens the set between planning and locking; after one miss it escalates
+// to every stripe, so the loop terminates. Cleanup expunges the whole class
+// and takes every stripe up front.
 func (s *Store) updateShardedEngine(sc *shardedClass, p *SymbolPlan, key Key, nb *noteBuf) error {
 	if s.shardedQuarGate(sc, nb) {
 		return nil
 	}
 
-	set, scan := sc.planWith(key, p.initTr())
+	set, scan := sc.plan(key, p.initTr())
 	if p.cleanup {
 		set = sc.allMask()
 	}
 	for tries := 0; ; tries++ {
-		s.lockShards(sc, set)
-		need, nscan := sc.planWith(key, p.initTr())
+		sc.lockShards(set)
+		need, nscan := sc.plan(key, p.initTr())
 		if need&^set == 0 {
 			scan = nscan
 			break
 		}
-		s.unlockShards(sc, set)
+		sc.unlockShards(set)
 		if tries >= 1 {
 			set = sc.allMask()
 		} else {
 			set |= need
 		}
 	}
-	defer s.unlockShards(sc, set)
+	defer sc.unlockShards(set)
 	return s.updateShardedEngineBody(sc, p, key, nb, set, scan)
 }
 
-// updateShardedEngineBody is the compiled event body over the lock-striped
-// store, mirroring updateShardedBody (shard.go) with the plan's tables in
-// place of the per-event scans. The caller holds the stripe locks in set.
+// updateShardedEngineBody is the compiled event body over the striped
+// layout. The caller holds the stripe locks in set, which must cover the
+// event's planned need; scan selects the all-stripes candidate walk.
 func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key, nb *noteBuf, set uint64, scan bool) error {
 	if sc.needsFlush.Load() && set == sc.allMask() {
+		// Deferred quarantine expunge: plan() escalates to every stripe
+		// while the flag is set, so the first event through after re-arm
+		// lands here holding the full set. (A concurrent entry can raise
+		// the flag after our plan — then this event proceeds as if
+		// linearised before the quarantine and the next one flushes.)
 		sc.expungeLocked()
 		sc.needsFlush.Store(false)
 	}
 
-	// As in the reference engine body: direct shardedFail/shardedClaim calls
-	// so nothing per-event escapes to the heap.
+	// As in the per-thread body: direct shardedFail/shardedClaim calls so
+	// nothing per-event escapes to the heap.
 	var firstErr error
 	failStop := sc.pol.failureIn(s) == FailStop
 
+	// Collect the compatible instances live before this event (so clones
+	// made below are not driven by the same event). With no out-of-mask
+	// masks live, every compatible instance is a projection of the key: a
+	// handful of O(1) index lookups replaces a scan over the whole block.
 	var candBuf [DefaultInstanceLimit]shardCand
 	cand := candBuf[:0]
 	if scan {
@@ -522,6 +535,8 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 			}
 		}
 	}
+	// Process in slot order, as the single-table layout does. Insertion
+	// sort: candidate lists are short and sort.Slice would allocate.
 	for i := 1; i < len(cand); i++ {
 		for j := i; j > 0 && cand[j].slot < cand[j-1].slot; j-- {
 			cand[j], cand[j-1] = cand[j-1], cand[j]
@@ -531,10 +546,14 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 	matched := false
 	for _, c := range cand {
 		if sc.quarantined.Load() {
+			// The class went out of service mid-event; the single-table
+			// expunge leaves no candidate to process either.
 			break
 		}
 		inst := &sc.insts[c.slot]
 		if !inst.Active || inst.birth != c.birth {
+			// Evicted mid-event (the slot may already hold a new
+			// occupant, which this event must not drive).
 			continue
 		}
 
@@ -551,6 +570,9 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 		}
 
 		if key.Mask&^inst.Key.Mask != 0 {
+			// Clone. For in-plan parents the union is the event key
+			// itself, whose stripe is locked; scan-mode parents run
+			// under every stripe lock.
 			newKey := union4(inst.Key, key)
 			if sc.findIn(&sc.shards[sc.shardOf(newKey)], newKey) >= 0 {
 				matched = true

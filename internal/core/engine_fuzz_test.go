@@ -1,17 +1,17 @@
 package core
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 )
 
-// FuzzCompiledStep feeds fuzzer-chosen event streams through a compiled
-// engine store and the interpreted NoEngine reference and requires identical
-// observable state after every event. Each input byte encodes one event —
-// symbol choice in the low bits, key material in the high bits — so the
-// fuzzer can reach clone chains, strict violations, required-site misses,
+// FuzzCompiledStep feeds fuzzer-chosen event streams through the oracle and
+// the production stores — per-thread, and Global at one and four stripes —
+// and requires identical observable state after every event. Each input
+// byte encodes one event — symbol choice in the low bits, key material in
+// the high bits — so the fuzzer can reach clone chains, strict violations, required-site misses,
 // overflow and cleanup expunges in any order. This is the coverage-guided
-// companion to the seeded sweep in engine_diff_test.go and runs in
+// companion to the seeded sweeps in differential_test.go and runs in
 // `make fuzz-smoke`.
 func FuzzCompiledStep(f *testing.F) {
 	f.Add([]byte{0x00})
@@ -41,48 +41,19 @@ func FuzzCompiledStep(f *testing.F) {
 		if len(data) > 512 {
 			return
 		}
-		for _, shards := range []int{1, 4} {
-			cls := &Class{Name: "fuzzstep", States: 8, Limit: 6, Overflow: EvictOldest}
-			href := &noteHandler{}
-			heng := &noteHandler{}
-			ref := NewStoreOpts(StoreOpts{Context: Global, Handler: href, Shards: shards, NoEngine: true})
-			eng := NewStoreOpts(StoreOpts{Context: Global, Handler: heng, Shards: shards})
-			ref.Register(cls)
-			eng.Register(cls)
-
-			plans := make([]*SymbolPlan, len(symbols))
-			for i, sym := range symbols {
-				plans[i] = NewSymbolPlan(cls, sym.name, sym.flags, sym.ts)
+		cls := &Class{Name: "fuzzstep", States: 8, Limit: 6, Overflow: EvictOldest}
+		rig := newDiffRig(cls, 0, 0, false, 1, 4)
+		for i, b := range data {
+			sym := symbols[int(b)%len(symbols)]
+			key := Key{}
+			if b&0x40 != 0 {
+				key = key.Set(0, Value(b>>6))
 			}
-
-			for i, b := range data {
-				sym := int(b) % len(symbols)
-				key := Key{}
-				if b&0x40 != 0 {
-					key = key.Set(0, Value(b>>6))
-				}
-				if b&0x20 != 0 {
-					key = key.Set(1, Value(b>>5&1))
-				}
-				errRef := ref.UpdateStatePlan(plans[sym], key)
-				errEng := eng.UpdateStatePlan(plans[sym], key)
-				if (errRef == nil) != (errEng == nil) {
-					t.Fatalf("byte %d (%#x, shards %d): verdict diverged: interpreted=%v engine=%v",
-						i, b, shards, errRef, errEng)
-				}
-				if lr, le := ref.LiveCount(cls), eng.LiveCount(cls); lr != le {
-					t.Fatalf("byte %d (%#x, shards %d): live diverged: interpreted=%d engine=%d",
-						i, b, shards, lr, le)
-				}
-				if ir, ie := instSet(ref, cls), instSet(eng, cls); !reflect.DeepEqual(ir, ie) {
-					t.Fatalf("byte %d (%#x, shards %d): instances diverged:\ninterpreted: %v\nengine:      %v",
-						i, b, shards, ir, ie)
-				}
-				if nr, ne := href.sorted(), heng.sorted(); !reflect.DeepEqual(nr, ne) {
-					t.Fatalf("byte %d (%#x, shards %d): notifications diverged:\ninterpreted: %v\nengine:      %v",
-						i, b, shards, nr, ne)
-				}
+			if b&0x20 != 0 {
+				key = key.Set(1, Value(b>>5&1))
 			}
+			ev := diffEvent{op: "update", symbol: sym.name, flags: sym.flags, key: key, ts: sym.ts}
+			rig.step(t, fmt.Sprintf("byte %d (%#x)", i, b), ev)
 		}
 	})
 }

@@ -6,11 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// The sharded store partitions each class's preallocated instance block into
-// lock stripes selected by Key hash, so that global-context events for
-// unrelated keys proceed in parallel instead of serialising on one mutex
-// (§3.2's explicit lock, whose cost figure 12 measures). Three structures
-// replace the reference store's linear scans:
+// The striped layout of a Global store partitions each class's preallocated
+// instance block into lock stripes selected by Key hash, so that
+// global-context events for unrelated keys proceed in parallel instead of
+// serialising on one mutex (§3.2's explicit lock, whose cost figure 12
+// measures). Three structures replace the single-table layout's linear
+// scans:
 //
 //   - a per-shard open-addressed hash index mapping an instance key to its
 //     slot in the block (linear probing, backward-shift deletion). Tables
@@ -21,7 +22,7 @@ import (
 //     bearing, not an aesthetic choice: candidate instances are processed
 //     in slot order, so under overflow the slot each instance occupies
 //     decides which clone attempts get the last free slots — a LIFO free
-//     list diverges from the reference store there (the differential
+//     list diverges from the single-table layout there (the differential
 //     harness catches it). Capacity semantics are unchanged: overflow
 //     happens exactly when the class's whole block is live;
 //   - atomics for the per-class live count and a census of live instances
@@ -58,7 +59,7 @@ type shardedClass struct {
 	insts []Instance
 	// free is the free-slot bitmap (bit set ⇒ slot free); allocSlot scans
 	// it from word zero so slots are claimed lowest-first, matching the
-	// reference allocator's first-fit scan.
+	// single-table allocator's first-fit scan.
 	free []atomic.Uint64
 	// live is the class-wide active-instance count.
 	live atomic.Int32
@@ -82,7 +83,7 @@ type shardedClass struct {
 	needsFlush atomic.Bool
 	// health is the class's degradation accounting.
 	health shardedHealth
-	// birthClock stamps activations, mirroring the reference store's
+	// birthClock stamps activations, mirroring the single-table
 	// counter so EvictOldest picks the same victim in both.
 	birthClock atomic.Uint64
 }
@@ -171,12 +172,8 @@ func (sc *shardedClass) allMask() uint64 {
 }
 
 // lockShards acquires the stripes in set in ascending index order — the
-// fixed lock order every cross-shard operation follows. Per-thread stores
-// skip locking entirely, like the reference store.
-func (s *Store) lockShards(sc *shardedClass, set uint64) {
-	if s.context != Global {
-		return
-	}
+// fixed lock order every cross-shard operation follows.
+func (sc *shardedClass) lockShards(set uint64) {
 	for i := range sc.shards {
 		if set&(1<<uint(i)) != 0 {
 			sc.shards[i].mu.Lock()
@@ -184,10 +181,7 @@ func (s *Store) lockShards(sc *shardedClass, set uint64) {
 	}
 }
 
-func (s *Store) unlockShards(sc *shardedClass, set uint64) {
-	if s.context != Global {
-		return
-	}
+func (sc *shardedClass) unlockShards(set uint64) {
 	for i := range sc.shards {
 		if set&(1<<uint(i)) != 0 {
 			sc.shards[i].mu.Unlock()
@@ -197,7 +191,7 @@ func (s *Store) unlockShards(sc *shardedClass, set uint64) {
 
 // allocSlot claims the lowest free slot, or returns -1 on overflow.
 // Lock-free: events holding different stripe locks allocate concurrently,
-// and sequentially the slot chosen is exactly the reference allocator's.
+// and sequentially the slot chosen is exactly the single-table allocator's.
 func (sc *shardedClass) allocSlot() int32 {
 	for w := range sc.free {
 		v := sc.free[w].Load()
@@ -322,19 +316,12 @@ func (sc *shardedClass) expungeLocked() {
 	sc.resetFreeList()
 }
 
-// plan computes the lock set an event with this key and transition set
-// needs: the shard of every live-mask projection of the key, the shard of
-// the key itself (clone target) and of the «init» key. scan reports that
-// some live instance binds a slot outside the event's mask, forcing the
-// all-stripes fallback.
-func (sc *shardedClass) plan(key Key, ts TransitionSet) (set uint64, scan bool) {
-	return sc.planWith(key, initTransition(ts))
-}
-
-// planWith is plan with the «init» transition already selected — the
-// compiled-engine path supplies the plan's hoisted init instead of scanning
-// the transition set per event.
-func (sc *shardedClass) planWith(key Key, init *Transition) (set uint64, scan bool) {
+// plan computes the lock set an event with this key needs: the shard of
+// every live-mask projection of the key, the shard of the key itself (clone
+// target) and of the «init» key (init is the SymbolPlan's hoisted «init»
+// transition, or nil). scan reports that some live instance binds a slot
+// outside the event's mask, forcing the all-stripes fallback.
+func (sc *shardedClass) plan(key Key, init *Transition) (set uint64, scan bool) {
 	// A pending quarantine flush needs exclusive ownership.
 	if sc.needsFlush.Load() {
 		return sc.allMask(), true
@@ -415,8 +402,8 @@ func (s *Store) instancesSharded(cls *Class) []Instance {
 		// Quarantined (or re-armed but not yet flushed): logically empty.
 		return nil
 	}
-	s.lockShards(sc, sc.allMask())
-	defer s.unlockShards(sc, sc.allMask())
+	sc.lockShards(sc.allMask())
+	defer sc.unlockShards(sc.allMask())
 	var out []Instance
 	for i := range sc.insts {
 		if sc.insts[i].Active {
@@ -432,18 +419,6 @@ func (s *Store) instancesSharded(cls *Class) []Instance {
 type shardCand struct {
 	slot  int32
 	birth uint64
-}
-
-// updateSharded is UpdateState over the lock-striped store. It reproduces
-// the reference implementation's lifecycle exactly (init, clone, update,
-// error, cleanup — §4.4.1) and its supervision behaviour (overflow policies,
-// quarantine, buffered dispatch); only the locking and lookup machinery
-// differ.
-func (s *Store) updateSharded(sc *shardedClass, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
-	var nb noteBuf
-	err := s.updateShardedLocked(sc, symbol, flags, key, ts, &nb)
-	s.dispatch(&nb)
-	return err
 }
 
 // shardedQuarGate runs the quarantine fast path for one event: re-arm when
@@ -473,54 +448,8 @@ func (s *Store) shardedQuarGate(sc *shardedClass, nb *noteBuf) bool {
 	return false
 }
 
-func (s *Store) updateShardedLocked(sc *shardedClass, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {
-	// Quarantine fast path, before any stripe lock. The re-arm check runs
-	// before suppression so the event that brings the class back is itself
-	// processed normally; the physical expunge stays deferred (needsFlush)
-	// until the stripe locks are held below.
-	if s.shardedQuarGate(sc, nb) {
-		return nil
-	}
-
-	// Acquire the planned lock set, then re-plan under the locks: another
-	// thread may have activated an instance whose mask widens the set
-	// between planning and locking. The loop escalates to all stripes
-	// after one miss, so it terminates.
-	set, scan := sc.plan(key, ts)
-	if ts.HasCleanup() {
-		// Cleanup expunges the whole class; take everything up front.
-		set = sc.allMask()
-	}
-	for tries := 0; ; tries++ {
-		s.lockShards(sc, set)
-		need, nscan := sc.plan(key, ts)
-		if need&^set == 0 {
-			scan = nscan
-			break
-		}
-		s.unlockShards(sc, set)
-		if tries >= 1 {
-			set = sc.allMask()
-		} else {
-			set |= need
-		}
-	}
-	defer s.unlockShards(sc, set)
-	return s.updateShardedBody(sc, symbol, flags, key, ts, nb, set, scan)
-}
-
-// shardedAllocator builds the sharded store's policy-driven slot claimer as
-// a closure for the interpreted event body below. The compiled engine body
-// (engine.go) calls shardedClaim directly — same policy machinery, no
-// per-event closure allocation.
-func (s *Store) shardedAllocator(sc *shardedClass, nb *noteBuf, failStop bool, firstErr *error, set uint64) func(Key) int32 {
-	return func(k Key) int32 {
-		return s.shardedClaim(sc, nb, failStop, firstErr, set, k)
-	}
-}
-
 // shardedClaim claims one instance slot under the class's overflow policy.
-// It mirrors the reference store's refClaim (update.go) decision for
+// It mirrors the single-table layout's refClaim (update.go) decision for
 // decision, including when the fault injector is consulted, so the
 // differential harness sees identical degradation sequences. Returns the
 // claimed slot or -1 to drop.
@@ -552,7 +481,7 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 			}
 			// The full lock set is held, so the class-wide scan and
 			// deactivation are safe. Same victim rule as the
-			// reference store: oldest same-mask instance first, so
+			// single-table layout: oldest same-mask instance first, so
 			// the unkeyed parent (oldest by construction) is only
 			// sacrificed when nothing bound like the newcomer lives.
 			victim, anyVictim := int32(-1), int32(-1)
@@ -604,177 +533,4 @@ func (s *Store) shardedClaim(sc *shardedClass, nb *noteBuf, failStop bool, first
 		sc.quarMu.Unlock()
 	}
 	return slot
-}
-
-// updateShardedBody is the event body proper. The caller holds the stripe locks
-// in set, which must cover the event's planned need; scan selects the
-// all-stripes candidate walk. This is the interpreted (table-driven) walk;
-// the compiled engine body in engine.go replaces its per-event scans with
-// precomputed plans, and the differential gate pins the two equal.
-func (s *Store) updateShardedBody(sc *shardedClass, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf, set uint64, scan bool) error {
-	cleanup := ts.HasCleanup()
-
-	if sc.needsFlush.Load() && set == sc.allMask() {
-		// Deferred quarantine expunge: plan() escalates to every stripe
-		// while the flag is set, so the first event through after re-arm
-		// lands here holding the full set. (A concurrent entry can raise
-		// the flag after our plan — then this event proceeds as if
-		// linearised before the quarantine and the next one flushes.)
-		sc.expungeLocked()
-		sc.needsFlush.Store(false)
-	}
-
-	var firstErr error
-	failStop := sc.pol.failureIn(s) == FailStop
-	fail := func(v *Violation) {
-		sc.health.violations.Add(1)
-		nb.add(note{kind: noteFail, cls: sc.cls, v: v})
-		if failStop && firstErr == nil {
-			firstErr = v
-		}
-	}
-
-	alloc := s.shardedAllocator(sc, nb, failStop, &firstErr, set)
-
-	// Collect the instances live before this event (so clones made below
-	// are not driven by the same event), compatible with its key. With no
-	// out-of-mask masks live, every compatible instance is a projection
-	// of the key: a handful of O(1) index lookups replaces the reference
-	// store's scan over the whole block.
-	var candBuf [DefaultInstanceLimit]shardCand
-	cand := candBuf[:0]
-	if scan {
-		for si := range sc.shards {
-			for _, e := range sc.shards[si].table {
-				if e == 0 {
-					continue
-				}
-				if slot := int32(e - 1); sc.insts[slot].Key.Compatible(key) {
-					cand = append(cand, shardCand{slot: slot, birth: sc.insts[slot].birth})
-				}
-			}
-		}
-	} else {
-		for m := uint32(0); m <= keyMaskAll; m++ {
-			if m&^key.Mask != 0 || sc.masks[m].Load() == 0 {
-				continue
-			}
-			k := key.project(m)
-			if slot := sc.findIn(&sc.shards[sc.shardOf(k)], k); slot >= 0 {
-				cand = append(cand, shardCand{slot: slot, birth: sc.insts[slot].birth})
-			}
-		}
-	}
-	// Process in slot order, matching the reference store's iteration.
-	// Insertion sort: candidate lists are short (≤ one per live mask off
-	// the scan path) and sort.Slice would allocate on the monitored path.
-	for i := 1; i < len(cand); i++ {
-		for j := i; j > 0 && cand[j].slot < cand[j-1].slot; j-- {
-			cand[j], cand[j-1] = cand[j-1], cand[j]
-		}
-	}
-
-	matched := false
-	for _, c := range cand {
-		if sc.quarantined.Load() {
-			// The class went out of service mid-event; the reference
-			// store's expunge leaves no candidate to process.
-			break
-		}
-		inst := &sc.insts[c.slot]
-		if !inst.Active || inst.birth != c.birth {
-			// Evicted mid-event (the slot may already hold a new
-			// occupant, which this event must not drive).
-			continue
-		}
-
-		var tr *Transition
-		for j := range ts {
-			if ts[j].From == inst.State {
-				tr = &ts[j]
-				break
-			}
-		}
-
-		if tr == nil {
-			switch {
-			case cleanup:
-				// The bound is ending but this instance is stuck
-				// in a non-accepting state: an `eventually`
-				// obligation was never satisfied.
-				fail(&Violation{Class: sc.cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: symbol})
-			case flags&SymStrict != 0:
-				fail(&Violation{Class: sc.cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: symbol})
-				sc.deactivate(c.slot)
-			}
-			continue
-		}
-
-		if inst.Key.Specializes(key) {
-			// The event binds variables this instance has not seen:
-			// clone a more specific instance and leave the parent.
-			// For in-plan parents the union is the event key itself,
-			// whose stripe is locked; scan-mode parents run under
-			// every stripe lock.
-			newKey := inst.Key.Union(key)
-			if sc.findIn(&sc.shards[sc.shardOf(newKey)], newKey) >= 0 {
-				matched = true
-				continue
-			}
-			// Copy the parent before allocating: eviction may free
-			// and immediately reuse the parent's own slot.
-			parent := *inst
-			nslot := alloc(newKey)
-			if nslot < 0 {
-				continue
-			}
-			clone := sc.activate(nslot, tr.To, newKey)
-			nb.add(note{kind: noteClone, cls: sc.cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: sc.cls, inst: *clone, from: tr.From, to: tr.To, symbol: symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: sc.cls, inst: *clone})
-			}
-			continue
-		}
-
-		from := inst.State
-		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: from, to: tr.To, symbol: symbol})
-		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
-		}
-	}
-
-	if !matched && !sc.quarantined.Load() {
-		if init := initTransition(ts); init != nil {
-			initKey := key.project(init.KeyMask)
-			if sc.findIn(&sc.shards[sc.shardOf(initKey)], initKey) < 0 {
-				if slot := alloc(initKey); slot >= 0 {
-					inst := sc.activate(slot, init.To, initKey)
-					nb.add(note{kind: noteNew, cls: sc.cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: init.From, to: init.To, symbol: symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
-					}
-				}
-			}
-		} else if flags&SymRequired != 0 && sc.live.Load() > 0 {
-			// Execution reached the assertion site with bindings for
-			// which no instance exists (fig. 9 “Error”); with no live
-			// instances the event arrived outside the bound and is
-			// ignored, as in the reference store.
-			fail(&Violation{Class: sc.cls, Kind: VerdictNoInstance, Key: key, Symbol: symbol})
-		}
-	}
-
-	if cleanup && !sc.quarantined.Load() {
-		// A cleanup transition resets the class: all instances are
-		// expunged and events are ignored until the next «init».
-		sc.expungeLocked()
-	}
-
-	return firstErr
 }

@@ -8,6 +8,21 @@ import (
 	"time"
 )
 
+// A store keeps each class's instances in one of two layouts, picked by its
+// Context alone:
+//
+//   - PerThread: the single table (classState below). One thread owns the
+//     store, so events take no lock, no atomic and no hash; a linear scan
+//     bounded by the live count finds every candidate.
+//   - Global: the lock-striped table (shard.go), which lets events for
+//     unrelated keys run in parallel. StoreOpts.Shards sets its stripes.
+//
+// Each layout has exactly one event body, the compiled one in engine.go.
+// Serving per-thread stores from the striped table at one stripe was
+// measured and rejected: on the end-to-end OLTP benchmark it raised the
+// monitor's overhead per transaction by a third, all of it atomics and
+// hashing that a thread-owned store does not need (§3.2).
+
 // Context selects where automata state lives (§3.2). In the thread-local
 // context event serialisation is implicit and the store needs no locking;
 // the global context serialises events across threads with an explicit lock,
@@ -32,9 +47,9 @@ func (c Context) String() string {
 	}
 }
 
-// classState holds a class's preallocated instance block within one store
-// (the unsharded reference implementation; see shard.go for the lock-striped
-// one).
+// classState holds a class's preallocated instance block within one
+// per-thread store: the single-table layout. Global stores keep their state
+// in the lock-striped table instead (shard.go).
 type classState struct {
 	cls *Class
 	// insts is allocated once, at class registration, so that instance
@@ -46,13 +61,14 @@ type classState struct {
 
 	// pol is the class's supervision policy resolved against the store's
 	// defaults at registration; quar and health are its degradation
-	// state and accounting, all guarded by the store mutex.
+	// state and accounting. A per-thread store is owned by one thread, so
+	// none of this is locked on the event path.
 	pol         classPolicy
 	quar        quarState
 	quarantined bool
 	health      Health
 	// birthClock stamps activations so EvictOldest picks the same victim
-	// in both store implementations.
+	// in both layouts.
 	birthClock uint64
 }
 
@@ -62,13 +78,10 @@ type StoreOpts struct {
 	Context Context
 	// Handler receives lifecycle notifications; nil discards them.
 	Handler Handler
-	// Shards selects the instance-store implementation. 0 (auto) uses the
-	// sharded lock-striped store sized to GOMAXPROCS for the Global
-	// context and the unsharded reference store for PerThread. 1 is the
-	// escape hatch: the seed single-mutex store with linear scans, which
-	// also serves as the reference model for the differential test
-	// harness. Values ≥ 2 select the sharded store with that many
-	// stripes, rounded up to a power of two and capped at 64.
+	// Shards is the lock-stripe count of a Global store: 0 sizes it to
+	// GOMAXPROCS, other values are rounded up to a power of two and capped
+	// at 64. PerThread stores ignore it: the Context alone picks the
+	// layout (a single table per thread, the striped table for Global).
 	Shards int
 
 	// Failure is the store-wide default failure action for classes whose
@@ -87,11 +100,6 @@ type StoreOpts struct {
 	// HandlerPanicLimit quarantines the notification handler after this
 	// many recovered panics (0 = DefaultHandlerPanicLimit).
 	HandlerPanicLimit int
-	// NoEngine disables the compiled transition engine (engine.go):
-	// UpdateStatePlan falls back to the
-	// interpreted table-driven walk, making the store the executable
-	// reference the engine differential harness compares against.
-	NoEngine bool
 	// AllocFail, when non-nil, is consulted before every instance-slot
 	// allocation; returning true forces the allocation to fail as if the
 	// class's block were exhausted. It is the fault-injection seam used
@@ -106,16 +114,16 @@ type StoreOpts struct {
 // Store manages automata instances for one context. The zero value is not
 // usable; construct with NewStore or NewStoreOpts.
 type Store struct {
+	// mu serialises a Global store's registrations (the copy-on-write
+	// stab). A per-thread store is owned by its thread and takes no lock.
 	mu      sync.Mutex
 	context Context
 	hv      atomic.Pointer[handlerCell]
 
-	// nshards == 0 selects the unsharded reference implementation below;
-	// otherwise state lives in the sharded table (shard.go).
+	// nshards == 0 selects the single-table layout below (PerThread);
+	// otherwise state lives in the striped table (shard.go, Global).
 	nshards int
-	// noEngine pins this store to the interpreted walk (StoreOpts.NoEngine).
-	noEngine bool
-	classes  map[*Class]*classState
+	classes map[*Class]*classState
 	// order preserves registration order for deterministic iteration.
 	order []*classState
 	stab  atomic.Pointer[shardTable]
@@ -149,9 +157,7 @@ type shardTable struct {
 }
 
 // NewStore creates a store for the given context. handler may be nil, in
-// which case notifications are discarded. The Global context defaults to the
-// sharded lock-striped implementation; use NewStoreOpts with Shards: 1 for
-// the single-mutex reference store.
+// which case notifications are discarded.
 func NewStore(ctx Context, handler Handler) *Store {
 	return NewStoreOpts(StoreOpts{Context: ctx, Handler: handler})
 }
@@ -161,25 +167,21 @@ func NewStoreOpts(o StoreOpts) *Store {
 	if o.Handler == nil {
 		o.Handler = NopHandler{}
 	}
-	s := &Store{context: o.Context, noEngine: o.NoEngine}
+	s := &Store{context: o.Context}
 	s.sv.init(o)
 	s.hv.Store(&handlerCell{h: o.Handler})
-	switch {
-	case o.Shards == 1:
-		// The seed single-mutex store.
-	case o.Shards == 0 && o.Context != Global:
-		// Per-thread stores see no concurrency; the reference store's
-		// simplicity wins by default.
-	default:
-		n := o.Shards
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.nshards = shardCount(n)
-		s.stab.Store(&shardTable{})
+	if o.Context != Global {
+		// A per-thread store sees no concurrency, so it needs neither
+		// stripes nor atomics: one table per class.
+		s.classes = make(map[*Class]*classState)
 		return s
 	}
-	s.classes = make(map[*Class]*classState)
+	n := o.Shards
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	s.nshards = shardCount(n)
+	s.stab.Store(&shardTable{})
 	return s
 }
 
@@ -201,22 +203,13 @@ func shardCount(n int) int {
 // Context returns the store's context.
 func (s *Store) Context() Context { return s.context }
 
-// Shards returns the number of lock stripes: 1 for the unsharded reference
-// implementation.
+// Shards returns the number of lock stripes: 1 for a per-thread store.
 func (s *Store) Shards() int {
 	if s.nshards == 0 {
 		return 1
 	}
 	return s.nshards
 }
-
-// Sharded reports whether the store uses the lock-striped implementation.
-func (s *Store) Sharded() bool { return s.nshards > 0 }
-
-// EngineEnabled reports whether UpdateStatePlan runs compiled engine bodies
-// (false for stores built with StoreOpts.NoEngine, which take the
-// interpreted reference walk instead).
-func (s *Store) EngineEnabled() bool { return !s.noEngine }
 
 // Handler returns the store's notification handler.
 func (s *Store) Handler() Handler { return s.hv.Load().h }
@@ -229,18 +222,6 @@ func (s *Store) SetHandler(h Handler) {
 	s.hv.Store(&handlerCell{h: h})
 }
 
-func (s *Store) lock() {
-	if s.context == Global {
-		s.mu.Lock()
-	}
-}
-
-func (s *Store) unlock() {
-	if s.context == Global {
-		s.mu.Unlock()
-	}
-}
-
 // Register adds a class to the store, preallocating its instance block.
 // Registering the same class twice is a no-op.
 func (s *Store) Register(cls *Class) {
@@ -248,8 +229,6 @@ func (s *Store) Register(cls *Class) {
 		s.registerSharded(cls, nil)
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	if _, ok := s.classes[cls]; ok {
 		return
 	}
@@ -282,8 +261,6 @@ func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
 		s.registerSharded(cls, storage)
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	if cs, ok := s.classes[cls]; ok {
 		// Replacing storage resets the class wholesale, like the sharded
 		// store's re-registration: supervision state starts over too.
@@ -305,8 +282,6 @@ func (s *Store) Registered(cls *Class) bool {
 	if s.nshards > 0 {
 		return s.shardedClassOf(cls) != nil
 	}
-	s.lock()
-	defer s.unlock()
 	_, ok := s.classes[cls]
 	return ok
 }
@@ -321,8 +296,6 @@ func (s *Store) Classes() []*Class {
 		}
 		return out
 	}
-	s.lock()
-	defer s.unlock()
 	out := make([]*Class, len(s.order))
 	for i, cs := range s.order {
 		out[i] = cs.cls
@@ -331,15 +304,13 @@ func (s *Store) Classes() []*Class {
 }
 
 // Instances returns a snapshot of the live instances of cls, primarily for
-// introspection and tests. The returned values are copies: later UpdateState
-// calls mutate the store's preallocated slots in place, and a snapshot that
+// introspection and tests. The returned values are copies: later events
+// mutate the store's preallocated slots in place, and a snapshot that
 // aliased them would change under the caller mid-inspection.
 func (s *Store) Instances(cls *Class) []Instance {
 	if s.nshards > 0 {
 		return s.instancesSharded(cls)
 	}
-	s.lock()
-	defer s.unlock()
 	cs := s.classes[cls]
 	if cs == nil || cs.quarantined {
 		return nil
@@ -363,8 +334,6 @@ func (s *Store) LiveCount(cls *Class) int {
 		}
 		return int(sc.live.Load())
 	}
-	s.lock()
-	defer s.unlock()
 	cs := s.classes[cls]
 	if cs == nil || cs.quarantined {
 		return 0
@@ -378,15 +347,13 @@ func (s *Store) Reset() {
 	if s.nshards > 0 {
 		t := s.stab.Load()
 		for _, sc := range t.order {
-			s.lockShards(sc, sc.allMask())
+			sc.lockShards(sc.allMask())
 			sc.expungeLocked()
 			sc.clearQuarantine()
-			s.unlockShards(sc, sc.allMask())
+			sc.unlockShards(sc.allMask())
 		}
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	for _, cs := range s.order {
 		cs.expunge()
 		cs.clearQuarantine()
@@ -397,15 +364,13 @@ func (s *Store) Reset() {
 func (s *Store) ResetClass(cls *Class) {
 	if s.nshards > 0 {
 		if sc := s.shardedClassOf(cls); sc != nil {
-			s.lockShards(sc, sc.allMask())
+			sc.lockShards(sc.allMask())
 			sc.expungeLocked()
 			sc.clearQuarantine()
-			s.unlockShards(sc, sc.allMask())
+			sc.unlockShards(sc.allMask())
 		}
 		return
 	}
-	s.lock()
-	defer s.unlock()
 	if cs := s.classes[cls]; cs != nil {
 		cs.expunge()
 		cs.clearQuarantine()
@@ -420,20 +385,10 @@ func (cs *classState) expunge() {
 }
 
 // clearQuarantine silently resets quarantine state (Reset/ResetClass and
-// storage replacement). The store mutex must be held.
+// storage replacement).
 func (cs *classState) clearQuarantine() {
 	cs.quar = quarState{}
 	cs.quarantined = false
-}
-
-// findExact returns the active instance with exactly the given key, or nil.
-func (cs *classState) findExact(key Key) *Instance {
-	for i := range cs.insts {
-		if cs.insts[i].Active && cs.insts[i].Key == key {
-			return &cs.insts[i]
-		}
-	}
-	return nil
 }
 
 // alloc claims a free preallocated slot, or returns nil on overflow. The

@@ -1,80 +1,82 @@
 package core
 
 import (
-	"os"
-	"strconv"
-	"sync"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
-// benchShards selects the store implementation under benchmark from the
-// TESLA_STORE_SHARDS environment variable (1 = reference single-mutex store,
-// 0 or unset = sharded auto). `make bench-compare` runs these benchmarks
-// once per setting and diffs them with benchstat: the benchmark names are
-// identical across runs by construction.
-func benchShards() int {
-	n, err := strconv.Atoi(os.Getenv("TESLA_STORE_SHARDS"))
-	if err != nil {
-		return 0
-	}
-	return n
-}
+// The store benchmark runs one check-heavy workload through the test oracle
+// and through every production store, and holds the compiled engine to the
+// speedup that justifies it. `make bench-compare` runs it as part of
+// `make ci`.
 
-// benchStore builds the OLTP-session store of the `-fig shard` figure: a
-// pool of keyed sessions inside a much larger preallocated block, so the
-// reference store's O(limit) scans are on display.
-func benchStore(shards int) (*Store, *Class, TransitionSet, TransitionSet) {
-	cls := &Class{Name: "bench", States: 8, Limit: 1024}
-	s := NewStoreOpts(StoreOpts{Context: Global, Shards: shards})
-	s.Register(cls)
-	enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
-	work := TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 1, KeyMask: 1}}
-	site := TransitionSet{{From: 1, To: 1, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}}
-	for k := 0; k < 128; k++ {
-		s.UpdateState(cls, "enter", 0, NewKey(Value(k)), enter)
-	}
-	return s, cls, work, site
-}
+const (
+	// storeBenchKeys is the number of keyed clones under the class's
+	// unkeyed parent. Each event's candidate scan over that population —
+	// the code the engine compiles — is the dominant cost; with the parent
+	// the clones stay under DefaultInstanceLimit, so no event evicts.
+	storeBenchKeys = 24
+	// minEngineSpeedup is the least accepted speedup of the per-thread
+	// store's compiled body over the oracle's interpreted walk on the same
+	// single-table layout.
+	minEngineSpeedup = 1.5
+)
 
-// BenchmarkStoreOLTP drives keyed work and required-site events through the
-// global store from one goroutine.
-func BenchmarkStoreOLTP(b *testing.B) {
-	s, cls, work, site := benchStore(benchShards())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := NewKey(Value(i % 128))
-		if i%8 == 7 {
-			s.UpdateState(cls, "site", SymRequired, key, site)
-		} else {
-			s.UpdateState(cls, "work", 0, key, work)
+// BenchmarkStore reports the cost of one keyed check event on the oracle,
+// the per-thread store, and the Global store at one stripe and at
+// GOMAXPROCS stripes. It fails when the per-thread store is less than
+// minEngineSpeedup times as fast as the oracle.
+func BenchmarkStore(b *testing.B) {
+	cls := &Class{Name: "bench", States: 4}
+	enter := NewSymbolPlan(cls, "enter", 0, TransitionSet{{From: 0, To: 1, Flags: TransInit}})
+	check := NewSymbolPlan(cls, "check", 0, TransitionSet{{From: 1, To: 2, KeyMask: 1}, {From: 2, To: 2, KeyMask: 1}})
+	production := func(o StoreOpts) func() (*Store, func(*SymbolPlan, Key) error) {
+		return func() (*Store, func(*SymbolPlan, Key) error) {
+			s := NewStoreOpts(o)
+			return s, s.UpdateStatePlan
 		}
 	}
-}
+	stripes := shardCount(runtime.GOMAXPROCS(0))
+	rungs := []struct {
+		name string
+		mk   func() (*Store, func(*SymbolPlan, Key) error)
+	}{
+		{"oracle", func() (*Store, func(*SymbolPlan, Key) error) {
+			o := newOracle(StoreOpts{})
+			return o.Store, o.UpdateStatePlan
+		}},
+		{"per-thread", production(StoreOpts{Context: PerThread})},
+		{"global-1", production(StoreOpts{Context: Global, Shards: 1})},
+		{fmt.Sprintf("global-%d", stripes), production(StoreOpts{Context: Global, Shards: stripes})},
+	}
 
-// BenchmarkStoreOLTPParallel is the contended variant: RunParallel drives
-// disjoint key ranges from GOMAXPROCS goroutines.
-func BenchmarkStoreOLTPParallel(b *testing.B) {
-	s, cls, work, site := benchStore(benchShards())
-	var nextG int
-	var mu sync.Mutex
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		mu.Lock()
-		g := nextG
-		nextG++
-		mu.Unlock()
-		base := (g * 16) % 128
-		i := 0
-		for pb.Next() {
-			key := NewKey(Value(base + i%16))
-			if i%8 == 7 {
-				s.UpdateState(cls, "site", SymRequired, key, site)
-			} else {
-				s.UpdateState(cls, "work", 0, key, work)
+	nsPerEvent := map[string]float64{}
+	for _, r := range rungs {
+		b.Run(r.name, func(b *testing.B) {
+			s, update := r.mk()
+			update(enter, AnyKey)
+			for k := 0; k < storeBenchKeys; k++ {
+				update(check, NewKey(Value(k)))
 			}
-			i++
-		}
-	})
+			if n := s.LiveCount(cls); n != storeBenchKeys+1 {
+				b.Fatalf("%d live instances, want %d", n, storeBenchKeys+1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				update(check, NewKey(Value(i%storeBenchKeys)))
+			}
+			nsPerEvent[r.name] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		})
+	}
+
+	oracle, engine := nsPerEvent["oracle"], nsPerEvent["per-thread"]
+	if oracle == 0 || engine == 0 {
+		return // a -bench filter skipped one side of the comparison
+	}
+	b.Logf("per-thread engine over oracle: %.2fx (floor %.1fx)", oracle/engine, minEngineSpeedup)
+	if oracle/engine < minEngineSpeedup {
+		b.Fatalf("per-thread engine is %.2fx the oracle's speed, want >= %.1fx", oracle/engine, minEngineSpeedup)
+	}
 }

@@ -1,23 +1,17 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 )
-
-// storeVariants runs a subtest against both store implementations.
-func storeVariants(t *testing.T, fn func(t *testing.T, shards int)) {
-	t.Helper()
-	t.Run("reference", func(t *testing.T) { fn(t, 1) })
-	t.Run("sharded", func(t *testing.T) { fn(t, 8) })
-}
 
 // TestInstancesSnapshotIsolated is the regression test for Instances
 // returning copies: a snapshot taken before further events must not change
 // when the store mutates its preallocated slots in place.
 func TestInstancesSnapshotIsolated(t *testing.T) {
-	storeVariants(t, func(t *testing.T, shards int) {
+	bothStores(t, func(t *testing.T, mk func(o StoreOpts) *Store) {
 		cls := &Class{Name: "snap", States: 4, Limit: 8}
-		s := NewStoreOpts(StoreOpts{Context: Global, Shards: shards})
+		s := mk(StoreOpts{})
 		s.Register(cls)
 
 		enter := TransitionSet{{From: 0, To: 1, Flags: TransInit, KeyMask: 1}}
@@ -56,7 +50,7 @@ func TestInstancesSnapshotIsolated(t *testing.T) {
 // counts.
 func TestAllocLeavesLiveUntouched(t *testing.T) {
 	cls := &Class{Name: "alloc", States: 4, Limit: 4}
-	s := NewStoreOpts(StoreOpts{Context: PerThread, Shards: 1})
+	s := NewStore(PerThread, nil)
 	s.Register(cls)
 	cs := s.classes[cls]
 
@@ -83,30 +77,32 @@ func TestAllocLeavesLiveUntouched(t *testing.T) {
 	}
 }
 
-// TestShardCountSelection pins the StoreOpts.Shards contract.
+// TestShardCountSelection pins the two layout rules: the Context alone picks
+// the layout (a per-thread store ignores Shards), and Shards sets a Global
+// store's stripe count — 0 tracks GOMAXPROCS, other values round up to a
+// power of two, capped at 64.
 func TestShardCountSelection(t *testing.T) {
 	cases := []struct {
 		ctx     Context
 		shards  int
-		sharded bool
+		striped bool
 		want    int
 	}{
-		{Global, 1, false, 1},
 		{PerThread, 0, false, 1},
+		{PerThread, 1, false, 1},
+		{PerThread, 8, false, 1},
+		{Global, 1, true, 1},
 		{Global, 2, true, 2},
-		{Global, 3, true, 4},    // rounded up to a power of two
-		{Global, 500, true, 64}, // capped
-		{PerThread, 8, true, 8}, // explicit request wins over context default
+		{Global, 3, true, 4},
+		{Global, 500, true, 64},
+		{Global, 0, true, shardCount(runtime.GOMAXPROCS(0))},
 	}
 	for _, c := range cases {
 		s := NewStoreOpts(StoreOpts{Context: c.ctx, Shards: c.shards})
-		if s.Sharded() != c.sharded || s.Shards() != c.want {
-			t.Errorf("StoreOpts{%v, Shards: %d}: sharded=%v shards=%d, want %v/%d",
-				c.ctx, c.shards, s.Sharded(), s.Shards(), c.sharded, c.want)
+		if striped := s.stab.Load() != nil; striped != c.striped || s.Shards() != c.want {
+			t.Errorf("StoreOpts{%v, Shards: %d}: striped=%v shards=%d, want %v/%d",
+				c.ctx, c.shards, striped, s.Shards(), c.striped, c.want)
 		}
-	}
-	if s := NewStoreOpts(StoreOpts{Context: Global}); !s.Sharded() {
-		t.Error("Global store did not default to the sharded implementation")
 	}
 }
 

@@ -278,9 +278,9 @@ func (p classPolicy) failureIn(s *Store) FailureAction {
 	return FailReport
 }
 
-// quarState is the quarantine bookkeeping shared by both store
-// implementations. The reference store mutates it under the store mutex;
-// the sharded store guards it with shardedClass.quarMu and mirrors the
+// quarState is the quarantine bookkeeping shared by both store layouts. A
+// per-thread store mutates it unlocked, as its owning thread; the striped
+// store guards it with shardedClass.quarMu and mirrors the
 // quarantined bit into an atomic for the lock-free fast path.
 type quarState struct {
 	// streak counts consecutive overflows since the last successful
@@ -459,13 +459,8 @@ func (s *Store) policyOf(cls *Class) classPolicy {
 		if sc := s.shardedClassOf(cls); sc != nil {
 			return sc.pol
 		}
-	} else {
-		s.mu.Lock()
-		cs, ok := s.classes[cls]
-		s.mu.Unlock()
-		if ok {
-			return cs.pol
-		}
+	} else if cs, ok := s.classes[cls]; ok {
+		return cs.pol
 	}
 	return s.sv.resolve(cls)
 }
@@ -498,12 +493,8 @@ func (s *Store) Health(cls *Class) Health {
 			return h
 		}
 		h = sc.healthSnapshot()
-	} else {
-		s.mu.Lock()
-		if cs := s.classes[cls]; cs != nil {
-			h = cs.health
-		}
-		s.mu.Unlock()
+	} else if cs := s.classes[cls]; cs != nil {
+		h = cs.health
 	}
 	h.HandlerPanics = s.handlerPanicsFor(cls.Name)
 	return h
@@ -529,7 +520,6 @@ func (s *Store) HealthReport() []ClassHealth {
 		}
 		return out
 	}
-	s.mu.Lock()
 	for _, cs := range s.order {
 		ch := ClassHealth{
 			Class:       cs.cls.Name,
@@ -541,7 +531,6 @@ func (s *Store) HealthReport() []ClassHealth {
 		}
 		out = append(out, ch)
 	}
-	s.mu.Unlock()
 	for i := range out {
 		out[i].HandlerPanics = s.handlerPanicsFor(out[i].Class)
 	}
@@ -554,8 +543,6 @@ func (s *Store) Quarantined(cls *Class) bool {
 		sc := s.shardedClassOf(cls)
 		return sc != nil && sc.quarantined.Load()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cs := s.classes[cls]
 	return cs != nil && cs.quarantined
 }

@@ -8,19 +8,27 @@ import (
 )
 
 // Supervision unit tests. Every behavioural test runs against both store
-// implementations (Shards: 1 reference, Shards: 4 striped): the supervision
-// layer must be implementation-independent.
+// layouts: the supervision layer must be layout-independent.
 
+// storeLayouts are the two production layouts behavioural tests run on:
+// "reference" is a per-thread store's single table, the layout the test
+// oracle walks; "sharded" is a Global store's striped table at four stripes.
+var storeLayouts = []struct {
+	name string
+	opts StoreOpts
+}{
+	{"reference", StoreOpts{Context: PerThread}},
+	{"sharded", StoreOpts{Context: Global, Shards: 4}},
+}
+
+// bothStores runs f once per layout; mk builds a store of that layout from
+// the test's own options.
 func bothStores(t *testing.T, f func(t *testing.T, mk func(o StoreOpts) *Store)) {
 	t.Helper()
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"reference", 1}, {"sharded", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, l := range storeLayouts {
+		t.Run(l.name, func(t *testing.T) {
 			f(t, func(o StoreOpts) *Store {
-				o.Context = Global
-				o.Shards = tc.shards
+				o.Context, o.Shards = l.opts.Context, l.opts.Shards
 				return NewStoreOpts(o)
 			})
 		})

@@ -30,26 +30,16 @@ package core
 // action is FailStop (FailDefault defers to Store.FailFast) and a violation
 // or overflow occurred; the store's Handler is notified of every outcome
 // regardless.
+//
+// UpdateState lowers a fresh SymbolPlan on every call and caches nothing, so
+// it suits one-off events and tests. Hot paths lower each (class, symbol)
+// once — NewSymbolPlan, or the automaton's StepEngine — and call
+// UpdateStatePlan, the one event path both store layouts run.
 func (s *Store) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
-	if s.nshards > 0 {
-		sc := s.shardedClassOf(cls)
-		if sc == nil {
-			// Implicit registration keeps one-off uses simple; hot
-			// paths should Register up front so this branch never
-			// runs.
-			s.Register(cls)
-			sc = s.shardedClassOf(cls)
-		}
-		return s.updateSharded(sc, symbol, flags, key, ts)
-	}
-
-	var nb noteBuf
-	err := s.updateRef(cls, symbol, flags, key, ts, &nb)
-	s.dispatch(&nb)
-	return err
+	return s.UpdateStatePlan(NewSymbolPlan(cls, symbol, flags, ts), key)
 }
 
-// refCand is one pre-event live instance in the reference store's candidate
+// refCand is one pre-event live instance in a per-thread store's candidate
 // snapshot. The birth stamp detects a slot that was evicted and reused by
 // this same event: the new occupant must not be driven by it.
 type refCand struct {
@@ -57,26 +47,10 @@ type refCand struct {
 	birth uint64
 }
 
-// updateRef is the reference (single-mutex) event body. Notifications are
-// accumulated in nb for the caller to dispatch after the lock is released.
-func (s *Store) updateRef(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {
-	s.lock()
-	defer s.unlock()
-
-	cs := s.classes[cls]
-	if cs == nil {
-		s.unlock()
-		s.Register(cls)
-		s.lock()
-		cs = s.classes[cls]
-	}
-	return s.updateRefLocked(cs, symbol, flags, key, ts, nb)
-}
-
-// refQuarGate runs the quarantine fast path for one event over the reference
+// refQuarGate runs the quarantine fast path for one event over a per-thread
 // store: re-arm when due (so the event that brings the class back is itself
 // processed normally), otherwise count the suppression and report true so the
-// caller skips the event. The store lock must be held.
+// caller skips the event.
 func (s *Store) refQuarGate(cs *classState, nb *noteBuf) bool {
 	if !cs.quarantined {
 		return false
@@ -90,16 +64,6 @@ func (s *Store) refQuarGate(cs *classState, nb *noteBuf) bool {
 	cs.quar.suppressed++
 	cs.health.Suppressed++
 	return true
-}
-
-// refAllocator builds the reference store's policy-driven slot claimer as a
-// closure for the interpreted event body below. The compiled engine body
-// (engine.go) calls refClaim directly — same policy machinery, no per-event
-// closure allocation — so both paths degrade identically.
-func (s *Store) refAllocator(cs *classState, nb *noteBuf, failStop bool, firstErr *error) func(Key) *Instance {
-	return func(k Key) *Instance {
-		return s.refClaim(cs, nb, failStop, firstErr, k)
-	}
 }
 
 // refClaim claims one instance slot under the class's overflow policy. It
@@ -173,161 +137,6 @@ func (s *Store) refClaim(cs *classState, nb *noteBuf, failStop bool, firstErr *e
 	}
 	cs.quar.streak = 0
 	return slot
-}
-
-// updateRefLocked is the event body proper. The store lock must be held and
-// cs registered. This is the interpreted (table-driven)
-// walk; the compiled engine body in engine.go replaces its linear scans with
-// precomputed plans, and the differential gate pins the two equal.
-func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags, key Key, ts TransitionSet, nb *noteBuf) error {
-	cls := cs.cls
-
-	// Quarantine fast path. The re-arm check runs before suppression so
-	// the event that brings the class back is itself processed normally.
-	if s.refQuarGate(cs, nb) {
-		return nil
-	}
-
-	var firstErr error
-	failStop := cs.pol.failureIn(s) == FailStop
-	fail := func(v *Violation) {
-		cs.health.Violations++
-		nb.add(note{kind: noteFail, cls: cls, v: v})
-		if failStop && firstErr == nil {
-			firstErr = v
-		}
-	}
-	alloc := s.refAllocator(cs, nb, failStop, &firstErr)
-
-	cleanup := ts.HasCleanup()
-
-	// Snapshot the instances that were live before this event so that
-	// clones created below are not themselves driven by the same event.
-	var candArr [DefaultInstanceLimit]refCand
-	live := candArr[:0]
-	for i := range cs.insts {
-		if cs.insts[i].Active {
-			live = append(live, refCand{idx: i, birth: cs.insts[i].birth})
-		}
-	}
-
-	matched := false
-	for _, c := range live {
-		inst := &cs.insts[c.idx]
-		if !inst.Active || inst.birth != c.birth {
-			// Evicted or expunged mid-event (the slot may already
-			// hold a new occupant, which this event must not drive).
-			continue
-		}
-		if !inst.Key.Compatible(key) {
-			continue
-		}
-
-		var tr *Transition
-		for j := range ts {
-			if ts[j].From == inst.State {
-				tr = &ts[j]
-				break
-			}
-		}
-
-		if tr == nil {
-			switch {
-			case cleanup:
-				// The bound is ending but this instance is stuck
-				// in a non-accepting state: an `eventually`
-				// obligation was never satisfied.
-				fail(&Violation{Class: cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: symbol})
-			case flags&SymStrict != 0:
-				fail(&Violation{Class: cls, Kind: VerdictBadTransition, Key: inst.Key, State: inst.State, Symbol: symbol})
-				inst.Active = false
-				cs.live--
-			}
-			continue
-		}
-
-		if inst.Key.Specializes(key) {
-			// The event binds variables this instance has not seen:
-			// clone a more specific instance and leave the parent.
-			newKey := inst.Key.Union(key)
-			if cs.findExact(newKey) != nil {
-				// The specific instance already exists and is
-				// processed (or was) on its own terms.
-				matched = true
-				continue
-			}
-			// Copy the parent before allocating: eviction may free
-			// and immediately reuse the parent's own slot.
-			parent := *inst
-			clone := alloc(newKey)
-			if clone == nil {
-				continue
-			}
-			cs.birthClock++
-			*clone = Instance{State: tr.To, Key: newKey, Active: true, birth: cs.birthClock}
-			cs.commit()
-			nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: cls, inst: *clone})
-			}
-			continue
-		}
-
-		from := inst.State
-		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: symbol})
-		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-		}
-	}
-
-	if !matched && !cs.quarantined {
-		if init := initTransition(ts); init != nil {
-			initKey := key.project(init.KeyMask)
-			if cs.findExact(initKey) == nil {
-				if inst := alloc(initKey); inst != nil {
-					cs.birthClock++
-					*inst = Instance{State: init.To, Key: initKey, Active: true, birth: cs.birthClock}
-					cs.commit()
-					nb.add(note{kind: noteNew, cls: cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-					}
-				}
-			}
-		} else if flags&SymRequired != 0 && cs.live > 0 {
-			// Execution reached the assertion site with bindings for
-			// which no instance exists: the events the assertion
-			// requires never happened (fig. 9 “Error”). With no live
-			// instances at all the automaton was never initialised —
-			// the event arrived outside the assertion's bound — and
-			// libtesla ignores events until the next «init».
-			fail(&Violation{Class: cls, Kind: VerdictNoInstance, Key: key, Symbol: symbol})
-		}
-	}
-
-	if cleanup && !cs.quarantined {
-		// A cleanup transition resets the class: all instances are
-		// expunged and events are ignored until the next «init».
-		cs.expunge()
-	}
-
-	return firstErr
-}
-
-// initTransition returns the first init transition in ts, or nil.
-func initTransition(ts TransitionSet) *Transition {
-	for i := range ts {
-		if ts[i].Init() {
-			return &ts[i]
-		}
-	}
-	return nil
 }
 
 // project restricts a key to the slots in mask.

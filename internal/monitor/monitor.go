@@ -30,18 +30,6 @@ type Options struct {
 	// cleanup events and initialises instances lazily when they receive
 	// their first non-initialisation event (§5.2.2).
 	Naive bool
-	// GlobalShards selects the global store's lock-stripe count, passed
-	// through to core.StoreOpts.Shards: 0 sizes the sharded store to
-	// GOMAXPROCS, 1 selects the single-mutex reference store, ≥2 forces a
-	// stripe count. Per-thread stores are unaffected.
-	GlobalShards int
-	// NoEngine pins every store (global and per-thread) to the interpreted
-	// table-driven walk instead of the compiled transition engines lowered
-	// from the automata (core.StoreOpts.NoEngine). The interpreted walk is
-	// the executable differential reference the engine parity harness and
-	// the compile figure's baseline rung run on; production monitors leave
-	// this off.
-	NoEngine bool
 
 	// Failure is the store-default failure action for classes that leave
 	// Class.Failure at FailDefault (§4.4.2's panic/printf spectrum). The
@@ -66,12 +54,10 @@ type Options struct {
 
 // storeOpts translates the monitor options into core store options for the
 // given context.
-func (o Options) storeOpts(ctx core.Context, shards int) core.StoreOpts {
+func (o Options) storeOpts(ctx core.Context) core.StoreOpts {
 	return core.StoreOpts{
 		Context:           ctx,
 		Handler:           o.Handler,
-		Shards:            shards,
-		NoEngine:          o.NoEngine,
 		Failure:           o.Failure,
 		Overflow:          o.Overflow,
 		QuarantineAfter:   o.QuarantineAfter,
@@ -105,8 +91,7 @@ type Monitor struct {
 
 	// plans[idx][symID] is automaton idx's compiled engine plan for that
 	// symbol (automata.StepEngine lowering): dispatch routes every event
-	// through these, and the stores fall back to the interpreted walk when
-	// built with Options.NoEngine.
+	// through these.
 	plans [][]*core.SymbolPlan
 
 	// boundSlot maps a Bound (begin/end event pair) to a dense index;
@@ -155,7 +140,7 @@ func newLazyState(bounds, autos int) lazyState {
 func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 	m := &Monitor{
 		opts:      opts,
-		global:    core.NewStoreOpts(opts.storeOpts(core.Global, opts.GlobalShards)),
+		global:    core.NewStoreOpts(opts.storeOpts(core.Global)),
 		callIdx:   map[string][]symRef{},
 		retIdx:    map[string][]symRef{},
 		msgIdx:    map[string][]symRef{},
@@ -315,7 +300,7 @@ func (m *Monitor) NewThread() *Thread {
 	th := &Thread{
 		m:     m,
 		id:    int(m.nextThread.Add(1)) - 1,
-		store: core.NewStoreOpts(m.opts.storeOpts(core.PerThread, 1)),
+		store: core.NewStoreOpts(m.opts.storeOpts(core.PerThread)),
 		lazy:  newLazyState(len(m.boundSlot), len(m.autos)),
 	}
 	th.store.FailFast = m.opts.FailFast
@@ -653,8 +638,7 @@ func (th *Thread) BoundEnd(slot int) error {
 }
 
 // sendOp routes one matched (automaton, symbol, key) op to store through the
-// automaton's compiled engine plan. Stores built with Options.NoEngine fall
-// back to the interpreted walk inside core, so dispatch is uniform here.
+// automaton's compiled engine plan.
 func (th *Thread) sendOp(store *core.Store, idx int, sym *automata.Symbol, key core.Key) error {
 	return store.UpdateStatePlan(th.m.plans[idx][sym.ID], key)
 }
