@@ -103,7 +103,7 @@ bench-faults:
 # Fleet-aggregation gate: the in-process fleet smoke under the race
 # detector (concurrent producers, one mid-stream disconnect, exact
 # ingested + dropped == sent accounting, and TestAggBatchedProducer:
-# forced ring loss under a live CutSince publisher, every recorded event
+# forced ring loss under a live AppendCut publisher, every recorded event
 # ingested or counted as dropped) plus the built-binary end-to-end
 # (tesla-agg serve on a unix socket, three tesla-run -agg producers,
 # tesla-agg query).

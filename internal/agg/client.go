@@ -196,31 +196,36 @@ func dialHandshake(addr string, hello Hello, wrap func(net.Conn) net.Conn) (net.
 	return conn, ack, nil
 }
 
-// SendTrace encodes tr as one sequenced trace frame, write-ahead-logs it
-// when a spool is configured, and enqueues it. It never blocks: a full
-// buffer overflows to the spool (when present) or drops the frame,
-// counted.
+// SendTrace encodes tr and sends it as one sequenced trace frame through
+// the same path as a Publisher flush (sendEncoded).
 func (c *Client) SendTrace(tr *trace.Trace) error {
 	var body bytes.Buffer
-	var prefix [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(prefix[:], uint64(len(tr.Events)))
-	body.Write(prefix[:n])
 	if err := trace.Write(&body, tr); err != nil {
 		return err
 	}
-	events := uint64(len(tr.Events))
-	c.ringDropped.Add(tr.Dropped)
+	return c.sendEncoded(body.Bytes(), len(tr.Events), tr.Dropped)
+}
+
+// sendEncoded sends one binary-encoded delta trace carrying events events
+// and ringDropped ring losses as one sequenced trace frame,
+// write-ahead-logging it when a spool is configured. The frame payload is
+// built in one allocation; enc is not retained, so the caller may reuse
+// it. It never blocks: a full buffer overflows to the spool (when
+// present) or drops the frame, counted.
+func (c *Client) sendEncoded(enc []byte, events int, ringDropped uint64) error {
+	n := uint64(events)
+	c.ringDropped.Add(ringDropped)
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		c.droppedFrames.Add(1)
-		c.droppedEvents.Add(events)
+		c.droppedEvents.Add(n)
 		return nil
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	payload := EncodeSeqTrace(seq, body.Bytes())
+	payload := appendSeqTrace(make([]byte, 0, 2*binary.MaxVarintLen64+len(enc)), seq, n, enc)
 	spooled := false
 	if c.opts.Spool != nil {
 		if err := c.opts.Spool.Append(payload); err != nil {
@@ -231,7 +236,7 @@ func (c *Client) SendTrace(tr *trace.Trace) error {
 	}
 	switch {
 	case !c.spoolBehind && len(c.queue) < c.opts.Buffer:
-		c.queue = append(c.queue, wireFrame{kind: FrameSeqTrace, payload: payload, events: events, seq: seq})
+		c.queue = append(c.queue, wireFrame{kind: FrameSeqTrace, payload: payload, events: n, seq: seq})
 		c.loadedSeq = seq
 		c.cond.Signal()
 	case spooled:
@@ -241,7 +246,7 @@ func (c *Client) SendTrace(tr *trace.Trace) error {
 		c.cond.Signal()
 	default:
 		c.droppedFrames.Add(1)
-		c.droppedEvents.Add(events)
+		c.droppedEvents.Add(n)
 	}
 	c.mu.Unlock()
 	return nil
@@ -373,7 +378,7 @@ func (c *Client) nextFrame() (wireFrame, bool) {
 
 // reloadLocked refills the memory queue from the spool with frames
 // beyond loadedSeq, up to Buffer. Called with c.mu held; the spool lock
-// nests inside c.mu everywhere (Append in SendTrace, Range here).
+// nests inside c.mu everywhere (Append in sendEncoded, Range here).
 func (c *Client) reloadLocked() {
 	after := c.loadedSeq
 	loaded := 0

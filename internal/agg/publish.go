@@ -8,15 +8,17 @@ import (
 )
 
 // Publisher streams a live Recorder to a Client as delta traces: each
-// flush cuts exactly the events recorded since the previous flush
-// (trace.Recorder.CutSince), with per-delta loss accounting, so the
-// fleet store receives every event once — or an explicit drop count.
+// flush encodes exactly the events recorded since the previous flush
+// straight out of the recorder's rings (trace.Recorder.AppendCut), with
+// per-delta loss accounting, so the fleet store receives every event
+// once — or an explicit drop count.
 type Publisher struct {
 	rec *trace.Recorder
 	c   *Client
 
 	mu  sync.Mutex
 	cut *trace.Cut
+	buf []byte // the encoded delta, reused across flushes
 
 	stop chan struct{}
 	done chan struct{}
@@ -32,12 +34,12 @@ func NewPublisher(rec *trace.Recorder, c *Client) *Publisher {
 func (p *Publisher) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tr, next := p.rec.CutSince(p.cut)
-	p.cut = next
-	if len(tr.Events) == 0 && tr.Dropped == 0 {
+	buf, next, events, dropped := p.rec.AppendCut(p.buf[:0], p.cut)
+	p.buf, p.cut = buf, next
+	if events == 0 && dropped == 0 {
 		return nil
 	}
-	return p.c.SendTrace(tr)
+	return p.c.sendEncoded(buf, events, dropped)
 }
 
 // Start flushes on an interval until Stop. Live flushing is what keeps a

@@ -180,39 +180,68 @@ func (s *Store) stripeOf(k siteKey) *stripe {
 	return &s.stripes[h.Sum64()&uint64(len(s.stripes)-1)]
 }
 
-// IngestTrace aggregates one (delta) trace attributed to process. It is
-// the whole-trace convenience over ingest; the server's per-connection
-// workers use IngestFrame on raw payloads instead.
+// IngestTrace aggregates one (delta) trace attributed to process, one
+// event at a time through the same step IngestFrame uses. It serves
+// in-memory traces; the server's per-connection workers use IngestFrame
+// on raw payloads instead.
 func (s *Store) IngestTrace(process string, tr *trace.Trace) {
-	s.ingestEvents(process, tr.Events, tr.Dropped)
-	s.frames.Add(1)
+	w := s.newWindow()
+	for i := range tr.Events {
+		s.ingestEvent(process, w, &tr.Events[i])
+	}
+	s.endFrame(process, len(tr.Events), tr.Dropped)
 }
 
-// ingestEvents applies one frame's events. A failure sample is the
-// failing event plus up to Window events before it, copied out of the
-// frame once per failure. Window context is frame-local: a failure in the
-// first events of a delta carries less context, never wrong context.
-func (s *Store) ingestEvents(process string, events []trace.Event, ringDropped uint64) {
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case trace.KindTransition:
-			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
-				from: ev.From, to: ev.To, symbol: ev.Symbol}, nil)
-		case trace.KindAccept:
-			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind}, nil)
-		case trace.KindFail:
-			sample := append([]trace.Event(nil), events[max(0, i-s.window):i+1]...)
-			s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
-				symbol: ev.Symbol, verdict: ev.Verdict.String()}, sample)
-		}
-	}
-	s.events.Add(uint64(len(events)))
+// sampleWindow holds the last Window+1 events of the frame being
+// ingested, in a ring: enough for the failure sample of the newest one.
+// Window context is frame-local: a failure in the first events of a
+// delta carries less context, never wrong context.
+type sampleWindow struct {
+	evs []trace.Event
+	n   int // events pushed so far
+}
 
+func (s *Store) newWindow() *sampleWindow {
+	return &sampleWindow{evs: make([]trace.Event, s.window+1)}
+}
+
+// sample copies out the newest event and up to Window events before it,
+// oldest first.
+func (w *sampleWindow) sample() []trace.Event {
+	k := min(w.n, len(w.evs))
+	out := make([]trace.Event, k)
+	for i := range out {
+		out[i] = w.evs[(w.n-k+i)%len(w.evs)]
+	}
+	return out
+}
+
+// ingestEvent is the per-event step of both ingest paths: it pushes ev
+// into the frame's window and bumps the site it keys, attaching a copy of
+// the window as the sample when ev is a failure.
+func (s *Store) ingestEvent(process string, w *sampleWindow, ev *trace.Event) {
+	w.evs[w.n%len(w.evs)] = *ev
+	w.n++
+	switch ev.Kind {
+	case trace.KindTransition:
+		s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
+			from: ev.From, to: ev.To, symbol: ev.Symbol}, nil)
+	case trace.KindAccept:
+		s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind}, nil)
+	case trace.KindFail:
+		s.add(siteKey{process: process, class: ev.Class, kind: ev.Kind,
+			symbol: ev.Symbol, verdict: ev.Verdict.String()}, w.sample())
+	}
+}
+
+// endFrame accounts one ingested frame of events events.
+func (s *Store) endFrame(process string, events int, ringDropped uint64) {
+	s.events.Add(uint64(events))
+	s.frames.Add(1)
 	s.mu.Lock()
 	p := s.proc(process)
 	p.frames++
-	p.events += uint64(len(events))
+	p.events += uint64(events)
 	p.ringDropped += ringDropped
 	s.mu.Unlock()
 }
@@ -239,10 +268,12 @@ func (s *Store) add(k siteKey, sample []trace.Event) {
 	st.mu.Unlock()
 }
 
-// IngestFrame decodes and aggregates one FrameTrace payload: the event
-// count prefix, then the binary trace. The declared count is the drop-
-// accounting unit; a payload whose decode dies mid-way contributes the
-// events it actually yielded and marks the producer's frame bad.
+// IngestFrame aggregates one FrameTrace payload — the event count
+// prefix, then the binary trace — while it decodes it: each event is
+// aggregated as it comes off the wire, and only the frame's sample window
+// is held. The declared count is the drop-accounting unit; a payload
+// whose decode dies mid-way contributes the events it actually yielded
+// and marks the producer's frame bad.
 func (s *Store) IngestFrame(process string, payload []byte) error {
 	declared, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -254,22 +285,18 @@ func (s *Store) IngestFrame(process string, payload []byte) error {
 		s.markBadFrame(process)
 		return fmt.Errorf("agg: trace frame from %s: %w", process, err)
 	}
-	// Size the decode from the declared count, but never beyond what the
-	// payload's bytes could encode: a hostile count costs no more memory
-	// than an honest frame of the same length.
-	events := make([]trace.Event, 0, min(declared, uint64(len(payload)/trace.MinEncodedEvent)))
+	w := s.newWindow()
 	for {
 		ev, err := sd.Next()
 		if err != nil {
 			break // io.EOF, or corruption counted below
 		}
-		events = append(events, ev)
+		s.ingestEvent(process, w, &ev)
 	}
-	s.ingestEvents(process, events, sd.Dropped())
-	s.frames.Add(1)
-	if uint64(len(events)) != declared {
+	s.endFrame(process, w.n, sd.Dropped())
+	if uint64(w.n) != declared {
 		s.markBadFrame(process)
-		return fmt.Errorf("agg: trace frame from %s declared %d events, decoded %d", process, declared, len(events))
+		return fmt.Errorf("agg: trace frame from %s declared %d events, decoded %d", process, declared, w.n)
 	}
 	return nil
 }

@@ -196,42 +196,70 @@ func slidingWindowSamples(events []trace.Event, window int) [][]trace.Event {
 	return out
 }
 
-// TestIngestSampleWindow pins failure samples taken from the decoded
-// frame to the sliding-window rule: a failure at the frame start (no
-// context), one with fewer preceding events than the window, and ones
-// mid-frame and at the frame end.
+// TestIngestSampleWindow pins the failure samples IngestFrame takes while
+// it decodes to the sliding-window rule, at the edges of its Window+1
+// ring: failures at index 0 (no context), at Window-1 (one event short of
+// a full window), at Window and Window+1 (the first full windows, the
+// second after the ring wraps), back to back, and at the frame end. A
+// frame whose decode dies mid-way still aggregates and counts the events
+// before the break, and is marked bad.
 func TestIngestSampleWindow(t *testing.T) {
-	var events []trace.Event
-	fails := map[int]bool{0: true, 3: true, 15: true, 16: true, 29: true}
-	for i := 0; i < 30; i++ {
-		ev := trace.Event{Seq: uint64(i + 1), Thread: -1, Kind: trace.KindTransition, Class: "c", Symbol: "s"}
-		switch {
-		case fails[i]:
-			ev.Kind, ev.Verdict = trace.KindFail, core.VerdictBadTransition
-		case i%4 == 1:
-			ev = trace.Event{Seq: uint64(i + 1), Kind: trace.KindProgram, Fn: "f", Vals: []core.Value{core.Value(i)}}
-		}
-		events = append(events, ev)
-	}
-	var enc bytes.Buffer
-	if err := trace.Write(&enc, &trace.Trace{FormatVersion: trace.Version, Automata: []string{"c"}, Events: events}); err != nil {
-		t.Fatal(err)
-	}
-	payload := append(binary.AppendUvarint(nil, uint64(len(events))), enc.Bytes()...)
 	for _, window := range []int{1, 2, 8, 40} {
+		n := window + 12
+		fails := map[int]bool{0: true, window - 1: true, window: true, window + 1: true,
+			window + 5: true, window + 6: true, n - 1: true}
+		var events []trace.Event
+		for i := 0; i < n; i++ {
+			ev := trace.Event{Seq: uint64(i + 1), Thread: -1, Kind: trace.KindTransition, Class: "c", Symbol: "s"}
+			switch {
+			case fails[i]:
+				ev.Kind, ev.Verdict = trace.KindFail, core.VerdictBadTransition
+			case i%4 == 1:
+				ev = trace.Event{Seq: uint64(i + 1), Kind: trace.KindProgram, Fn: "f", Vals: []core.Value{core.Value(i)}}
+			}
+			events = append(events, ev)
+		}
+		encode := func(evs []trace.Event) []byte {
+			var enc bytes.Buffer
+			if err := trace.Write(&enc, &trace.Trace{FormatVersion: trace.Version, Automata: []string{"c"}, Events: evs}); err != nil {
+				t.Fatal(err)
+			}
+			return enc.Bytes()
+		}
+		checkSamples := func(store *Store, evs []trace.Event) {
+			t.Helper()
+			got := store.Samples("c")
+			want := slidingWindowSamples(evs, window)
+			if len(got) != len(want) {
+				t.Fatalf("window %d: %d samples, want %d", window, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i].Events, want[i]) {
+					t.Fatalf("window %d, sample %d:\n got %v\nwant %v", window, i, got[i].Events, want[i])
+				}
+			}
+		}
+		payload := append(binary.AppendUvarint(nil, uint64(n)), encode(events)...)
+
 		store := NewStore(StoreOpts{Window: window, SampleCap: len(fails)})
 		if err := store.IngestFrame("p", payload); err != nil {
 			t.Fatal(err)
 		}
-		got := store.Samples("c")
-		want := slidingWindowSamples(events, window)
-		if len(got) != len(want) {
-			t.Fatalf("window %d: %d samples, want %d", window, len(got), len(want))
+		checkSamples(store, events)
+
+		// Cut the frame one byte into event k. Every count here encodes
+		// in one byte, so the encoding of events[:k] ends exactly where
+		// event k starts in the full frame.
+		k := window + 3
+		torn := payload[:1+len(encode(events[:k]))+1]
+		store = NewStore(StoreOpts{Window: window, SampleCap: len(fails)})
+		if err := store.IngestFrame("p", torn); err == nil {
+			t.Fatalf("window %d: torn frame accepted", window)
 		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i].Events, want[i]) {
-				t.Fatalf("window %d, sample %d:\n got %v\nwant %v", window, i, got[i].Events, want[i])
-			}
+		checkSamples(store, events[:k])
+		f := store.Fleet()
+		if len(f.Producers) != 1 || f.Producers[0].Events != uint64(k) || f.Producers[0].BadFrames != 1 || f.TotalEvents != uint64(k) {
+			t.Fatalf("window %d: torn frame accounted as %+v, want %d events and one bad frame", window, f.Producers, k)
 		}
 	}
 }

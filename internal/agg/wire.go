@@ -184,16 +184,14 @@ func rejectHello(h Hello) string {
 		orUnknown(h.Tool), h.Process, h.Proto, h.Codec, MinProtoVersion, ProtoVersion, trace.Version)
 }
 
-// EncodeSeqTrace prefixes a FrameTrace payload (event count + binary
-// trace) with its sequence number, producing a FrameSeqTrace payload.
-// The result is also exactly what the client write-ahead-logs to its
-// offline spool: spool frame == wire frame, so resume is a replay.
-func EncodeSeqTrace(seq uint64, tracePayload []byte) []byte {
-	var prefix [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(prefix[:], seq)
-	out := make([]byte, 0, n+len(tracePayload))
-	out = append(out, prefix[:n]...)
-	return append(out, tracePayload...)
+// appendSeqTrace appends a FrameSeqTrace payload to dst: the sequence
+// number, the event count and the binary trace encoding. The payload is
+// also exactly what the client write-ahead-logs to its offline spool:
+// spool frame == wire frame, so resume is a replay.
+func appendSeqTrace(dst []byte, seq, events uint64, enc []byte) []byte {
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, events)
+	return append(dst, enc...)
 }
 
 // SeqTraceInfo splits a FrameSeqTrace payload into its sequence number,

@@ -24,75 +24,30 @@ const magic = "TESLATRC"
 // protecting against corrupt or hostile length prefixes.
 const maxTraceEvents = 1 << 26
 
-// Write encodes the trace in compact binary form.
+// writeChunk is how much encoded output Write accumulates before handing
+// it to its writer.
+const writeChunk = 64 << 10
+
+// Write encodes the trace in compact binary form. The encoding is built in
+// memory and handed to w every writeChunk bytes, so w sees few large
+// writes whatever the trace length.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	enc := &encoder{w: bw, strings: map[string]uint64{}}
-	enc.uvarint(uint64(Version))
-	enc.uvarint(t.Dropped)
-	enc.uvarint(uint64(len(t.Automata)))
-	for _, name := range t.Automata {
-		enc.str(name)
-	}
-	enc.uvarint(uint64(len(t.Events)))
-	var prevSeq uint64
+	enc := newEncoder(make([]byte, 0, 4096))
+	enc.header(t.Dropped, t.Automata, len(t.Events))
 	for i := range t.Events {
-		ev := &t.Events[i]
-		enc.uvarint(ev.Seq - prevSeq)
-		prevSeq = ev.Seq
-		enc.varint(int64(ev.Thread))
-		enc.byte(byte(ev.Kind))
-		enc.varint(ev.Time)
-		switch ev.Kind {
-		case KindProgram:
-			enc.byte(byte(ev.Prog))
-			enc.str(ev.Fn)
-			enc.str(ev.Field)
-			enc.varint(int64(ev.Op))
-			enc.varint(int64(ev.Auto))
-			enc.varint(int64(ev.Sym))
-			enc.varint(int64(ev.Slot))
-			if ev.HasRet {
-				enc.byte(1)
-				enc.varint(int64(ev.Ret))
-			} else {
-				enc.byte(0)
+		enc.event(&t.Events[i])
+		if len(enc.buf) >= writeChunk {
+			if _, err := w.Write(enc.buf); err != nil {
+				return err
 			}
-			enc.uvarint(uint64(len(ev.Vals)))
-			for _, v := range ev.Vals {
-				enc.varint(int64(v))
-			}
-			enc.uvarint(uint64(len(ev.InStack)))
-			for _, id := range ev.InStack {
-				enc.varint(int64(id))
-			}
-		default:
-			enc.str(ev.Class)
-			enc.str(ev.Symbol)
-			enc.key(ev.Key)
-			enc.key(ev.ParentKey)
-			enc.uvarint(uint64(ev.From))
-			enc.uvarint(uint64(ev.To))
-			enc.uvarint(uint64(ev.State))
-			enc.varint(int64(ev.Verdict))
-			if ev.Kind == KindQuarantine {
-				// Trailing byte for the newest kind only, so traces
-				// without quarantine events keep the original layout.
-				if ev.On {
-					enc.byte(1)
-				} else {
-					enc.byte(0)
-				}
-			}
+			enc.buf = enc.buf[:0]
 		}
 	}
-	if enc.err != nil {
-		return enc.err
+	if len(enc.buf) == 0 {
+		return nil
 	}
-	return bw.Flush()
+	_, err := w.Write(enc.buf)
+	return err
 }
 
 // WriteJSON encodes the trace as indented JSON.
@@ -152,44 +107,88 @@ func readBinary(br *bufio.Reader) (*Trace, error) {
 	}
 }
 
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// encoder accumulates binary output, deferring the first error. Strings are
-// interned: the first occurrence writes ref == table length followed by the
-// bytes; later occurrences write only the ref.
+// encoder appends the binary form to buf. Strings are interned: the first
+// occurrence writes ref == table length followed by the bytes; later
+// occurrences write only the ref. Sequence numbers are delta-coded
+// against the previous event's.
 type encoder struct {
-	w       *bufio.Writer
-	buf     [binary.MaxVarintLen64]byte
+	buf     []byte
 	strings map[string]uint64
-	err     error
+	prevSeq uint64
 }
 
-func (e *encoder) byte(b byte) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(b)
+// newEncoder returns an encoder appending to dst.
+func newEncoder(dst []byte) *encoder {
+	return &encoder{buf: dst, strings: map[string]uint64{}}
+}
+
+// header appends the magic and the trace header: format version, drop
+// count, automata names and the number of event records that follow.
+func (e *encoder) header(dropped uint64, automata []string, events int) {
+	e.buf = append(e.buf, magic...)
+	e.uvarint(Version)
+	e.uvarint(dropped)
+	e.uvarint(uint64(len(automata)))
+	for _, name := range automata {
+		e.str(name)
+	}
+	e.uvarint(uint64(events))
+}
+
+// event appends one event record. decodeEvent (stream.go) is its inverse.
+func (e *encoder) event(ev *Event) {
+	e.uvarint(ev.Seq - e.prevSeq)
+	e.prevSeq = ev.Seq
+	e.varint(int64(ev.Thread))
+	e.buf = append(e.buf, byte(ev.Kind))
+	e.varint(ev.Time)
+	switch ev.Kind {
+	case KindProgram:
+		e.buf = append(e.buf, byte(ev.Prog))
+		e.str(ev.Fn)
+		e.str(ev.Field)
+		e.varint(int64(ev.Op))
+		e.varint(int64(ev.Auto))
+		e.varint(int64(ev.Sym))
+		e.varint(int64(ev.Slot))
+		if ev.HasRet {
+			e.buf = append(e.buf, 1)
+			e.varint(int64(ev.Ret))
+		} else {
+			e.buf = append(e.buf, 0)
+		}
+		e.uvarint(uint64(len(ev.Vals)))
+		for _, v := range ev.Vals {
+			e.varint(int64(v))
+		}
+		e.uvarint(uint64(len(ev.InStack)))
+		for _, id := range ev.InStack {
+			e.varint(int64(id))
+		}
+	default:
+		e.str(ev.Class)
+		e.str(ev.Symbol)
+		e.key(ev.Key)
+		e.key(ev.ParentKey)
+		e.uvarint(uint64(ev.From))
+		e.uvarint(uint64(ev.To))
+		e.uvarint(uint64(ev.State))
+		e.varint(int64(ev.Verdict))
+		if ev.Kind == KindQuarantine {
+			// Trailing byte for the newest kind only, so traces
+			// without quarantine events keep the original layout.
+			if ev.On {
+				e.buf = append(e.buf, 1)
+			} else {
+				e.buf = append(e.buf, 0)
+			}
+		}
 	}
 }
 
-func (e *encoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *encoder) varint(v int64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutVarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
+func (e *encoder) varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
 func (e *encoder) str(s string) {
 	if ref, ok := e.strings[s]; ok {
@@ -200,9 +199,7 @@ func (e *encoder) str(s string) {
 	e.strings[s] = ref
 	e.uvarint(ref)
 	e.uvarint(uint64(len(s)))
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
+	e.buf = append(e.buf, s...)
 }
 
 // key writes the bound mask then only the bound slots' values.

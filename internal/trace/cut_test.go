@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,8 +62,27 @@ func TestCutPrefixProperty(t *testing.T) {
 			var cut *Cut
 			var delivered, dropped, last uint64
 			cuts := 0
+			// The cutter alternates the two cut paths: CutSince, and
+			// AppendCut decoded back with Read. Both must keep every
+			// assertion below.
+			var buf []byte
 			check := func() {
-				tr, next := rec.CutSince(cut)
+				var tr *Trace
+				var next *Cut
+				if cuts%2 == 0 {
+					tr, next = rec.CutSince(cut)
+				} else {
+					var events int
+					var dropped uint64
+					buf, next, events, dropped = rec.AppendCut(buf[:0], cut)
+					var err error
+					if tr, err = Read(bytes.NewReader(buf)); err != nil {
+						t.Fatalf("cut %d: AppendCut bytes do not decode: %v", cuts, err)
+					}
+					if len(tr.Events) != events || tr.Dropped != dropped {
+						t.Fatalf("cut %d: AppendCut reported %d events, %d dropped; decoded %d, %d", cuts, events, dropped, len(tr.Events), tr.Dropped)
+					}
+				}
 				cut = next
 				cuts++
 				for i, ev := range tr.Events {
@@ -134,6 +156,137 @@ func TestCutAllocs(t *testing.T) {
 		if perCut[1] != perCut[64] || perCut[1] != perCut[4096] {
 			t.Fatalf("%d thread(s): allocations per cut vary with delta size: %v", threads, perCut)
 		}
+
+		// AppendCut into a warm buffer allocates nothing per event: the
+		// encoding goes straight from the ring slots into dst.
+		var dst []byte
+		record(10000)
+		dst, cut, _, _ = rec.AppendCut(dst, cut)
+		perAppend := map[int]float64{}
+		for _, n := range []int{10, 10000} {
+			perAppend[n] = testing.AllocsPerRun(20, func() {
+				record(n)
+				dst, cut, _, _ = rec.AppendCut(dst[:0], cut)
+			})
+		}
+		if perAppend[10] != perAppend[10000] {
+			t.Fatalf("%d thread(s): allocations per AppendCut vary with delta size: %v", threads, perAppend)
+		}
+	}
+}
+
+// TestAppendCutMatchesWrite holds the encoding cut to its reference on a
+// quiesced recorder: for lossless rings, overwriting rings and injected
+// DropFault drops, AppendCut(prev) yields exactly the bytes
+// Write(CutSince(prev)) does, the same counts and the same watermark.
+// The deltas run from empty to several times Write's 64 KiB chunk.
+func TestAppendCutMatchesWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ringCap int
+		drop    bool
+	}{
+		{"lossless", 1 << 16, false},
+		{"overwriting", 100, false},
+		{"injected", 1 << 16, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(7))
+			rec := NewRecorder([]*automata.Automaton{{Name: "a"}, {Name: "b"}}, tc.ringCap)
+			if tc.drop {
+				rec.DropFault = func() bool { return r.Intn(5) == 0 }
+			}
+			taps := []monitor.ThreadTap{rec.ThreadTap(0), rec.ThreadTap(1), rec.ThreadTap(2)}
+			cls := &core.Class{Name: "a", States: 4, Limit: 4}
+			fns := []string{"open", "close", "read", ""}
+			var cut *Cut
+			var dst []byte
+			var lost uint64
+			for round, n := range []int{0, 1, 7, 300, 5000, 0, 20000, 64} {
+				for i := 0; i < n; i++ {
+					switch v := core.Value(r.Intn(1000)); r.Intn(4) {
+					case 0:
+						rec.Transition(cls, &core.Instance{Key: core.NewKey(v)}, 0, uint32(r.Intn(4)), fns[r.Intn(len(fns))])
+					case 1:
+						rec.Fail(&core.Violation{Class: cls, Kind: core.VerdictBadTransition, Key: core.Key{}.Set(2, v), Symbol: fns[r.Intn(len(fns))]})
+					default:
+						taps[r.Intn(len(taps))].ProgramEvent(monitor.ProgramEvent{
+							Kind: monitor.ProgReturn, Fn: fns[r.Intn(len(fns))], Vals: []core.Value{v, -v}, Ret: v, HasRet: true, Time: int64(i),
+						})
+					}
+				}
+				tr, wantNext := rec.CutSince(cut)
+				var want bytes.Buffer
+				if err := Write(&want, tr); err != nil {
+					t.Fatal(err)
+				}
+				var events int
+				var dropped uint64
+				var next *Cut
+				dst, next, events, dropped = rec.AppendCut(dst[:0], cut)
+				if !bytes.Equal(dst, want.Bytes()) {
+					t.Fatalf("round %d: AppendCut bytes (%d) differ from Write(CutSince) (%d)", round, len(dst), want.Len())
+				}
+				if events != len(tr.Events) || dropped != tr.Dropped || !reflect.DeepEqual(next, wantNext) {
+					t.Fatalf("round %d: AppendCut reported %d events, %d dropped, cut %+v; CutSince %d, %d, %+v",
+						round, events, dropped, next, len(tr.Events), tr.Dropped, wantNext)
+				}
+				lost += dropped
+				cut = next
+			}
+			if tc.ringCap < 1<<16 || tc.drop {
+				if lost == 0 {
+					t.Fatal("nothing was lost: the loss accounting went untested")
+				}
+			} else if lost != 0 {
+				t.Fatalf("%d events lost from rings that never filled", lost)
+			}
+		})
+	}
+}
+
+// chunkWriter records the size of every Write it receives.
+type chunkWriter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestWriteChunks: Write hands its writer the encoding in writeChunk-sized
+// pieces (each ends at the first event boundary past the chunk size), so
+// a long trace reaches the writer in a few large writes, and a short one
+// in one.
+func TestWriteChunks(t *testing.T) {
+	tr := &Trace{FormatVersion: Version, Automata: []string{"a"}}
+	for i := 0; i < 40000; i++ {
+		tr.Events = append(tr.Events, Event{Seq: uint64(i + 1), Kind: KindProgram, Fn: "f", Vals: []core.Value{core.Value(i)}})
+	}
+	var w chunkWriter
+	if err := Write(&w, tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) < 2 {
+		t.Fatalf("%d-byte trace reached the writer in %d write(s)", w.Len(), len(w.writes))
+	}
+	for i, n := range w.writes[:len(w.writes)-1] {
+		if n < writeChunk || n > writeChunk+64 {
+			t.Fatalf("write %d: %d bytes, want one event past %d", i, n, writeChunk)
+		}
+	}
+	got, err := Read(&w.Buffer)
+	if err != nil || !reflect.DeepEqual(got, tr) {
+		t.Fatalf("chunked trace does not round-trip: %v", err)
+	}
+	var short chunkWriter
+	if err := Write(&short, &Trace{FormatVersion: Version, Events: tr.Events[:10]}); err != nil {
+		t.Fatal(err)
+	}
+	if len(short.writes) != 1 {
+		t.Fatalf("10-event trace reached the writer in %d writes", len(short.writes))
 	}
 }
 
@@ -184,8 +337,11 @@ func TestMergeRuns(t *testing.T) {
 					runs = append(runs, run{rg: rg, end: rg.pushed, seq: rg.at(0).Seq})
 				}
 			}
-			dst := make([]Event, n)
-			mergeRuns(dst, runs)
+			var dst []Event
+			mergeRuns(runs, func(ev *Event) { dst = append(dst, *ev) })
+			if len(dst) != n {
+				t.Fatalf("merged %d events, want %d", len(dst), n)
+			}
 			for i, ev := range dst {
 				if ev.Seq != uint64(i+1) {
 					t.Fatalf("position %d: seq %d", i, ev.Seq)

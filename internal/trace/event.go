@@ -84,32 +84,44 @@ type Event struct {
 	// are allocated from one atomic counter across all threads, each under
 	// the lock of the ring the event is recorded into, so Seq order
 	// linearises the trace, every ring is Seq-ordered, and every cut of a
-	// live recorder (Recorder.CutSince) is an exact Seq-prefix of the run
-	// whatever the thread count. For single-threaded runs the order is
-	// also the program's own; for concurrent ones it is one plausible
-	// interleaving.
+	// live recorder (Recorder.AppendCut, Recorder.CutSince) is an exact
+	// Seq-prefix of the run whatever the thread count. For single-threaded
+	// runs the order is also the program's own; for concurrent ones it is
+	// one plausible interleaving.
 	Seq uint64 `json:"seq"`
 	// Thread is the monitor thread the event entered on, or -1 for
 	// lifecycle events (which are recorded store-side, where the thread
 	// is unknown for the shared global context).
-	Thread int  `json:"thread"`
-	Kind   Kind `json:"kind"`
+	Thread int `json:"thread"`
 	// Time is the thread's clock at the event (VM steps when attached to
 	// a VM; 0 when no clock is installed).
 	Time int64 `json:"time,omitempty"`
 
+	// The one-byte fields share a word with the three uint32 state
+	// fields, so this block is 16 bytes with no padding: every ring slot
+	// is an Event, and each padding byte is zeroed and copied per event.
+	Kind Kind `json:"kind"`
+	// Prog and HasRet are program-event payload (KindProgram).
+	Prog   monitor.ProgKind `json:"prog,omitempty"`
+	HasRet bool             `json:"hasRet,omitempty"`
+	// On distinguishes quarantine entry (true) from re-arm (false) for
+	// KindQuarantine.
+	On bool `json:"on,omitempty"`
+	// From, To and State are lifecycle payload (all other kinds).
+	From  uint32 `json:"from,omitempty"`
+	To    uint32 `json:"to,omitempty"`
+	State uint32 `json:"state,omitempty"`
+
 	// Program-event payload (KindProgram).
-	Prog    monitor.ProgKind `json:"prog,omitempty"`
-	Fn      string           `json:"fn,omitempty"`
-	Field   string           `json:"field,omitempty"`
-	Op      spec.AssignOp    `json:"op,omitempty"`
-	Auto    int              `json:"auto,omitempty"`
-	Sym     int              `json:"sym,omitempty"`
-	Slot    int              `json:"slot,omitempty"`
-	Ret     core.Value       `json:"ret,omitempty"`
-	HasRet  bool             `json:"hasRet,omitempty"`
-	Vals    []core.Value     `json:"vals,omitempty"`
-	InStack []int            `json:"inStack,omitempty"`
+	Fn      string        `json:"fn,omitempty"`
+	Field   string        `json:"field,omitempty"`
+	Op      spec.AssignOp `json:"op,omitempty"`
+	Auto    int           `json:"auto,omitempty"`
+	Sym     int           `json:"sym,omitempty"`
+	Slot    int           `json:"slot,omitempty"`
+	Ret     core.Value    `json:"ret,omitempty"`
+	Vals    []core.Value  `json:"vals,omitempty"`
+	InStack []int         `json:"inStack,omitempty"`
 
 	// Lifecycle payload (all other kinds).
 	Class string `json:"class,omitempty"`
@@ -119,14 +131,8 @@ type Event struct {
 	Key core.Key `json:"key,omitempty"`
 	// ParentKey is the cloned-from instance's key (KindClone only).
 	ParentKey core.Key         `json:"parentKey,omitempty"`
-	From      uint32           `json:"from,omitempty"`
-	To        uint32           `json:"to,omitempty"`
-	State     uint32           `json:"state,omitempty"`
 	Symbol    string           `json:"symbol,omitempty"`
 	Verdict   core.VerdictKind `json:"verdict,omitempty"`
-	// On distinguishes quarantine entry (true) from re-arm (false) for
-	// KindQuarantine.
-	On bool `json:"on,omitempty"`
 }
 
 // IsProgram reports whether the event is a replayable raw program event.

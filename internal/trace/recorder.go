@@ -22,8 +22,9 @@ import (
 // One atomic sequence counter spans all rings, so a program event always
 // carries a smaller Seq than the lifecycle events it causes. An event takes
 // its Seq under the lock of the ring it goes into, so every ring holds its
-// events in ascending Seq order and Snapshot and CutSince merge the rings
-// into one totally-ordered trace without sorting. Install it with:
+// events in ascending Seq order and every cut (Snapshot, CutSince,
+// AppendCut) merges the rings into one totally-ordered trace without
+// sorting. Install it with:
 //
 //	rec := trace.NewRecorder(build.Autos, 0)
 //	rt, err := build.NewRuntime(monitor.Options{Tap: rec, Handler: rec})
@@ -45,7 +46,7 @@ type Recorder struct {
 	life  *ring
 	sinks []*threadSink // append-only: a sink's index is its place in a Cut
 	// injected counts DropFault rejections separately from ring
-	// overwrites, so CutSince can attribute per-cut losses exactly.
+	// overwrites, so a cut can attribute per-cut losses exactly.
 	injected uint64
 }
 
@@ -188,7 +189,8 @@ func (r *Recorder) Snapshot() *Trace {
 }
 
 // Cut is a watermark over every ring of a Recorder, as returned by
-// CutSince. The zero value (or nil) means "the beginning of the run".
+// CutSince and AppendCut. The zero value (or nil) means "the beginning of
+// the run".
 type Cut struct {
 	life     uint64
 	injected uint64
@@ -200,27 +202,57 @@ type Cut struct {
 // The delta's Dropped field counts only what was lost since prev — ring
 // overwrites of not-yet-cut events and injected drops — so a consumer
 // summing delta lengths and delta Dropped fields accounts for every
-// event the run emitted, exactly once. This is the producer side of live
-// streaming to an aggregation service: flush deltas while the run is
-// hot, with loss explicit, never silent.
+// event the run emitted, exactly once.
 //
-// The cut is a cross-ring barrier: every ring is locked before any is
-// read, so the watermark captures one instant. Because an event takes its
-// Seq under the lock of the ring it goes into, every Seq handed out
-// before that instant is already in its ring and every later one is not:
-// each cut is an exact Seq-prefix of the run, for any number of threads
-// — the property the WAL trace spool's crash-recovery invariant ("a
-// recovered spool is a verbatim prefix of the uncrashed run") rests on.
-// Reading one ring at a time instead would let an event land in a
-// not-yet-read ring while a causally-later event in an already-read ring
-// is missed, punching a Seq hole through the final, never-followed-up
-// cut of a killed process.
-//
-// Each ring's part of the delta is already Seq-ordered, so the delta is
-// built by one k-way merge straight out of the rings into a result sized
-// exactly from the watermarks: every event is copied once, and the cut
-// allocates the same whatever its size.
+// CutSince copies each event once, out of its ring into a result sized
+// exactly from the watermarks. It serves Snapshot and anything else that
+// needs events in memory; a flusher that only ships the delta uses
+// AppendCut, which encodes straight from the rings.
 func (r *Recorder) CutSince(prev *Cut) (*Trace, *Cut) {
+	tr := &Trace{FormatVersion: Version, Automata: append([]string(nil), r.names...)}
+	next := r.cut(prev, func(events int, dropped uint64) {
+		tr.Dropped = dropped
+		tr.Events = make([]Event, 0, events)
+	}, func(ev *Event) {
+		tr.Events = append(tr.Events, *ev)
+	})
+	return tr, next
+}
+
+// AppendCut appends the binary encoding of the delta since prev — the
+// bytes Write would produce for CutSince(prev)'s trace — to dst, and
+// returns the extended buffer, the new watermark, and the delta's event
+// count and loss. Each event is encoded straight from its ring slot; no
+// event is copied. This is the producer side of live streaming, to the
+// WAL trace spool and to an aggregation service: flush deltas while the
+// run is hot, with loss explicit, never silent. A flusher that keeps dst
+// across flushes allocates the same per cut whatever the cut's size.
+func (r *Recorder) AppendCut(dst []byte, prev *Cut) (out []byte, next *Cut, events int, dropped uint64) {
+	enc := newEncoder(dst)
+	next = r.cut(prev, func(n int, lost uint64) {
+		events, dropped = n, lost
+		enc.header(lost, r.names, n)
+	}, enc.event)
+	return enc.buf, next, events, dropped
+}
+
+// cut is the one barrier every cut goes through. It locks every ring
+// before reading any, so the watermark captures one instant, then calls
+// begin with the delta's event count and loss, hands emit every event
+// after prev in ascending Seq order, and returns the new watermark. The
+// events passed to emit are the ring slots themselves, valid only until
+// emit returns.
+//
+// Because an event takes its Seq under the lock of the ring it goes into,
+// every Seq handed out before the barrier's instant is already in its
+// ring and every later one is not: each cut is an exact Seq-prefix of the
+// run, for any number of threads — the property the WAL trace spool's
+// crash-recovery invariant ("a recovered spool is a verbatim prefix of
+// the uncrashed run") rests on. Reading one ring at a time instead would
+// let an event land in a not-yet-read ring while a causally-later event
+// in an already-read ring is missed, punching a Seq hole through the
+// final, never-followed-up cut of a killed process.
+func (r *Recorder) cut(prev *Cut, begin func(events int, dropped uint64), emit func(*Event)) *Cut {
 	if prev == nil {
 		prev = &Cut{}
 	}
@@ -253,18 +285,13 @@ func (r *Recorder) CutSince(prev *Cut) (*Trace, *Cut) {
 		addRun(s.ring, prevPushed)
 		next.sinks[i] = s.ring.pushed
 	}
-	events := make([]Event, total)
-	mergeRuns(events, runs)
+	begin(total, dropped)
+	mergeRuns(runs, emit)
 	for _, s := range r.sinks {
 		s.mu.Unlock()
 	}
 	r.mu.Unlock()
-	return &Trace{
-		FormatVersion: Version,
-		Automata:      append([]string(nil), r.names...),
-		Dropped:       dropped,
-		Events:        events,
-	}, next
+	return next
 }
 
 // run is one ring's part of a cut: positions [p, end), ascending by Seq;
@@ -275,14 +302,12 @@ type run struct {
 	seq    uint64
 }
 
-// mergeRuns k-way-merges Seq-ascending runs into dst, which must hold
-// exactly their total length. Each step scans for the run with the
-// smallest head Seq and copies from it until its Seq passes the
-// next-smallest head, so long single-ring stretches cost one selection,
-// not one per event. A cut has one run per recording thread plus the
-// lifecycle ring, so each scan covers only a handful of runs.
-func mergeRuns(dst []Event, runs []run) {
-	j := 0
+// mergeRuns k-way-merges Seq-ascending runs into emit. Each step scans
+// for the run with the smallest head Seq and emits from it until its Seq
+// passes the next-smallest head, so long single-ring stretches cost one
+// selection, not one per event. A cut has one run per recording thread
+// plus the lifecycle ring, so each scan covers only a handful of runs.
+func mergeRuns(runs []run, emit func(*Event)) {
 	for len(runs) > 0 {
 		i := 0
 		for k := 1; k < len(runs); k++ {
@@ -302,8 +327,7 @@ func mergeRuns(dst []Event, runs []run) {
 			if ev.Seq > bound {
 				break
 			}
-			dst[j] = *ev
-			j++
+			emit(ev)
 			ru.p++
 		}
 		if ru.p < ru.end {

@@ -18,7 +18,7 @@ type ring struct {
 	// overwritten: it is the ring's logical write position. The event
 	// pushed at position p lives in slot p % cap until position p+cap
 	// overwrites it, so the ring holds the last min(pushed, cap)
-	// positions and has overwritten the rest. A cut (Recorder.CutSince) takes
+	// positions and has overwritten the rest. A cut (Recorder.AppendCut) takes
 	// exactly the events after a watermark position and accounts exactly
 	// for the ones the ring overwrote in between.
 	pushed uint64

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // held returns the events r still holds, oldest first, and how many it
 // has overwritten.
@@ -89,5 +92,16 @@ func TestRingSinceWatermarks(t *testing.T) {
 		if from < r.pushed && r.at(from).Seq != from+1 {
 			t.Fatalf("since(%d): first held seq %d, want %d", prev, r.at(from).Seq, from+1)
 		}
+	}
+}
+
+// TestEventSize pins the ring slot. Every recorded event costs one slot:
+// zeroed when its chunk is allocated, written once by the recording
+// thread, and copied once more per Snapshot. The field order packs the
+// one-byte fields with From, To and State; regrowing the struct should
+// be a deliberate choice.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 280 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d bytes, want 280", got)
 	}
 }

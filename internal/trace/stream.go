@@ -103,14 +103,6 @@ func (sd *StreamDecoder) Next() (Event, error) {
 	return ev, nil
 }
 
-// MinEncodedEvent is the fewest bytes one event record occupies in the
-// binary format: a lifecycle event with every string already interned and
-// every number, key mask and the verdict encoded in one byte. A decoder
-// presizing from a declared event count can cap it at payload length over
-// this, so a hostile count claims no more memory than the bytes present
-// could actually decode to.
-const MinEncodedEvent = 12
-
 // decodeEvent decodes one event record, threading the delta-coded sequence
 // number through prevSeq. It is the single event-wire-format authority,
 // shared by StreamDecoder and (through it) Read.
@@ -170,7 +162,7 @@ func decodeProgram(dec *decoder, ev *Event) error {
 		if n > maxTraceEvents {
 			return fmt.Errorf("trace: implausible value count %d", n)
 		}
-		ev.Vals = make([]core.Value, 0, minU64(n, 64))
+		ev.Vals = make([]core.Value, 0, min(n, 64))
 		for j := uint64(0); j < n && dec.err == nil; j++ {
 			ev.Vals = append(ev.Vals, core.Value(dec.varint()))
 		}
@@ -179,7 +171,7 @@ func decodeProgram(dec *decoder, ev *Event) error {
 		if n > maxTraceEvents {
 			return fmt.Errorf("trace: implausible instack count %d", n)
 		}
-		ev.InStack = make([]int, 0, minU64(n, 64))
+		ev.InStack = make([]int, 0, min(n, 64))
 		for j := uint64(0); j < n && dec.err == nil; j++ {
 			ev.InStack = append(ev.InStack, int(dec.varint()))
 		}

@@ -213,34 +213,3 @@ func TestCutSinceInjectedDrops(t *testing.T) {
 		t.Fatalf("idle cut: %d events, %d dropped; want 0, 0", len(tr2.Events), tr2.Dropped)
 	}
 }
-
-// TestMinEncodedEvent pins MinEncodedEvent to the codec: no event kind
-// encodes shorter, and the shortest lifecycle record is exactly that long.
-func TestMinEncodedEvent(t *testing.T) {
-	size := func(kind Kind, n int) int {
-		tr := &Trace{FormatVersion: Version, Events: make([]Event, n)}
-		for i := range tr.Events {
-			tr.Events[i].Kind = kind
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
-	}
-	shortest := -1
-	for k := KindProgram; k <= KindQuarantine; k++ {
-		// The second event pays no string-table entries: its size is the
-		// record's floor.
-		n := size(k, 2) - size(k, 1)
-		if n < MinEncodedEvent {
-			t.Fatalf("%s event encodes in %d bytes, below MinEncodedEvent=%d", k, n, MinEncodedEvent)
-		}
-		if shortest < 0 || n < shortest {
-			shortest = n
-		}
-	}
-	if shortest != MinEncodedEvent {
-		t.Fatalf("shortest event record is %d bytes, MinEncodedEvent=%d", shortest, MinEncodedEvent)
-	}
-}

@@ -24,7 +24,7 @@ import (
 // recovered spool is always a valid frame prefix of what was appended.
 //
 // Two producers sit on it: tesla-run -trace-spool streams delta traces
-// (Recorder.CutSince cuts, via SpoolWriter) so a SIGKILL'd process loses
+// (Recorder.AppendCut cuts, via SpoolWriter) so a SIGKILL'd process loses
 // at most one flush interval of events, and the tesla-agg client
 // overflows undeliverable wire frames to disk so a server outage or a
 // producer crash never silently loses accounted events.
@@ -117,6 +117,10 @@ type Spool struct {
 	broken   error // a failed append poisons the spool until reopened
 	closed   bool
 	recov    SpoolRecovery
+	// frame is the header-plus-payload buffer Append builds each frame
+	// in, reused across appends so a frame still reaches the file in one
+	// write.
+	frame []byte
 }
 
 func segName(i int) string { return fmt.Sprintf("wal-%06d.seg", i) }
@@ -343,12 +347,10 @@ func (s *Spool) Append(payload []byte) error {
 		}
 	}
 
-	var hdr [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf := make([]byte, 0, frame)
-	buf = append(buf, hdr[:]...)
+	buf := binary.LittleEndian.AppendUint32(s.frame[:0], uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	buf = append(buf, payload...)
+	s.frame = buf
 
 	if err := s.writeLocked(buf); err != nil {
 		// Cut the torn tail immediately so the spool stays valid for
@@ -532,9 +534,8 @@ func ReadSpool(dir string) (*Trace, error) {
 }
 
 // SpoolWriter streams a live Recorder into a Spool as delta traces: each
-// flush cuts exactly the events recorded since the previous flush
-// (Recorder.CutSince) and appends their binary encoding as one WAL
-// frame. Under SpoolSyncAlways a SIGKILL loses at most the events not
+// flush cuts exactly the events recorded since the previous flush and
+// appends their binary encoding (Recorder.AppendCut) as one WAL frame. Under SpoolSyncAlways a SIGKILL loses at most the events not
 // yet appended: one flush interval, plus whatever accumulated while an
 // in-flight flush was still encoding (on a saturated machine flushes
 // batch up their backlog rather than fall behind silently). Everything
@@ -548,6 +549,7 @@ type SpoolWriter struct {
 
 	mu  sync.Mutex
 	cut *Cut
+	buf []byte // the encoded delta, reused across flushes
 	// lostFrames/lostEvents count deltas a failed append discarded —
 	// explicit loss accounting in the PR 5 tradition (the events are
 	// gone from the spool, never silently).
@@ -564,24 +566,19 @@ func NewSpoolWriter(rec *Recorder, spool *Spool) *SpoolWriter {
 }
 
 // Flush cuts and appends the delta since the last flush. Empty deltas
-// append nothing.
+// append nothing. The delta is encoded straight from the recorder's rings
+// into a buffer the writer keeps across flushes.
 func (w *SpoolWriter) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tr, next := w.rec.CutSince(w.cut)
-	w.cut = next
-	if len(tr.Events) == 0 && tr.Dropped == 0 {
+	buf, next, events, dropped := w.rec.AppendCut(w.buf[:0], w.cut)
+	w.buf, w.cut = buf, next
+	if events == 0 && dropped == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := w.spool.Append(buf); err != nil {
 		w.lostFrames++
-		w.lostEvents += uint64(len(tr.Events))
-		return err
-	}
-	if err := w.spool.Append(buf.Bytes()); err != nil {
-		w.lostFrames++
-		w.lostEvents += uint64(len(tr.Events))
+		w.lostEvents += uint64(events)
 		return err
 	}
 	return nil
