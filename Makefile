@@ -29,10 +29,12 @@ test:
 # provably race-free. The second line repeats the global lazy-«init» tests:
 # another thread's first event must not reach the global store before the
 # «init» it depends on, and a handler re-entering the monitor during that
-# «init» must not deadlock (the timeout turns a hang into a failure).
+# «init» must not deadlock (the timeout turns a hang into a failure). It also
+# repeats TestCoverageConcurrentThreads: two threads counting coverage in
+# their own stores at once, merged by Monitor.Coverage after the join.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -timeout 120s ./internal/monitor -run 'TestGlobalLazyInit'
+	$(GO) test -race -count=10 -timeout 120s ./internal/monitor -run 'TestGlobalLazyInit|TestCoverageConcurrentThreads'
 
 # The static checker over the demo programs: safe.c and liveness.c must
 # pass (exit 0), doomed.c must be rejected (exit 1); the -json reports
@@ -127,7 +129,10 @@ bench-agg:
 # under injected allocation failures, and TestDifferentialSingleStripe 100 at
 # one stripe. Then the automaton-level lowering / image round-trip /
 # corrupt-image-rejection suite and the build graph's per-class engine cache
-# cutoffs.
+# cutoffs. Every schedule also compares each store's Coverage with the
+# oracle's and with the counts rebuilt from the oracle's notes after every
+# event; the TestEngineDifferential* sweeps add a lean twin of every store (a
+# CountingHandler, so no lifecycle notes) and splice in re-registrations.
 compile-gate:
 	$(GO) test -race -count=1 ./internal/core -run 'TestDifferentialShardedVsReference|TestEngineDifferential|TestDifferentialSingleStripe|TestTransitionSet|TestInitTransition'
 	$(GO) test -race -count=1 ./internal/automata -run 'TestEngine|TestAttachEngine|TestStepUnifiedContract'

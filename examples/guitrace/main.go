@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"tesla/internal/automata"
-	"tesla/internal/core"
 	"tesla/internal/gui"
 	"tesla/internal/monitor"
 	"tesla/internal/objc"
@@ -23,7 +22,7 @@ import (
 
 // traceSetup builds a TESLA-instrumented window (fig. 8's assertion over
 // the full selector list).
-func traceSetup(be gui.Backend, deliveryBug bool) (*gui.Window, *gui.RunLoop, *core.CountingHandler) {
+func traceSetup(be gui.Backend, deliveryBug bool) (*gui.Window, *gui.RunLoop, *monitor.Monitor) {
 	var events []spec.Expr
 	for _, sel := range gui.AllSelectors() {
 		events = append(events, spec.Msg(spec.Any("id"), sel))
@@ -34,14 +33,13 @@ func traceSetup(be gui.Backend, deliveryBug bool) (*gui.Window, *gui.RunLoop, *c
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	handler := core.NewCountingHandler()
-	mon := monitor.MustNew(monitor.Options{Handler: handler}, auto)
+	mon := monitor.MustNew(monitor.Options{}, auto)
 	th := mon.NewThread()
 	rt := objc.NewRuntime(objc.TESLA)
 	rt.InterposeTESLA(th, gui.AllSelectors(), []string{"drawWithFrame:inView:"})
 	w := gui.NewWindow(rt, be)
 	w.DeliveryBug = deliveryBug
-	return w, gui.NewRunLoop(w, th), handler
+	return w, gui.NewRunLoop(w, th), mon
 }
 
 func main() {
@@ -54,12 +52,12 @@ func main() {
 func cursorBug() {
 	fmt.Println("== cursor push/pop pairing (June 2013 GNUstep report) ==")
 	for _, bug := range []bool{false, true} {
-		w, rl, handler := traceSetup(gui.NewOldBackend(), bug)
+		w, rl, mon := traceSetup(gui.NewOldBackend(), bug)
 		w.AddTracking(gui.Rect{X: 0, Y: 0, W: 100, H: 100}, gui.CursorIBeam)
 		xnee.Replay(rl, xnee.CursorCrossing(gui.Rect{X: 0, Y: 0, W: 100, H: 100}, 3))
 
 		var pushes, pops uint64
-		for e, n := range handler.Edges() {
+		for e, n := range mon.Coverage().Edges {
 			if strings.Contains(e.Symbol, "push") {
 				pushes += n
 			}
@@ -82,7 +80,7 @@ func cursorBug() {
 func backendBug() {
 	fmt.Println("== non-LIFO graphics-state restore (new back end) ==")
 	render := func(be gui.Backend) (int64, uint64, uint64) {
-		w, rl, handler := traceSetup(be, false)
+		w, rl, mon := traceSetup(be, false)
 		w.AddView(gui.Rect{X: 0, Y: 0, W: 200, H: 100}, 1, 4, false)
 		w.AddView(gui.Rect{X: 0, Y: 100, W: 200, H: 100}, 2, 4, true) // non-LIFO restores
 		// Two exposes: the state corrupted by the mishandled non-LIFO
@@ -90,7 +88,7 @@ func backendBug() {
 		rl.ProcessBatch([]gui.Event{{Kind: gui.Expose}})
 		rl.ProcessBatch([]gui.Event{{Kind: gui.Expose}})
 		var saves, tokenRestores uint64
-		for e, n := range handler.Edges() {
+		for e, n := range mon.Coverage().Edges {
 			if strings.Contains(e.Symbol, "gsave") {
 				saves += n
 			}

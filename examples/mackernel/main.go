@@ -90,7 +90,7 @@ func coverage() {
 	th := k.NewThread()
 	kernel.ExerciseAll(th) // the inter-process access-control test suite
 
-	missed := kernel.Unexercised(handler, autos)
+	missed := kernel.Unexercised(mon.Coverage(), autos)
 	var procfs, cpuset, rt, other int
 	for _, name := range missed {
 		switch {

@@ -65,5 +65,5 @@ func main() {
 
 	// The automaton, weighted by what actually ran (fig. 9 style).
 	fmt.Println("\nrun-time weighted automaton (Graphviz):")
-	fmt.Println(auto.Dot(handler.Edges()))
+	fmt.Println(auto.Dot(mon.Coverage().Edges))
 }

@@ -124,7 +124,7 @@ func TestEndToEndGUIStory(t *testing.T) {
 	xnee.Replay(gui.NewRunLoop(w, th), xnee.CursorCrossing(rect, 2))
 
 	var pushes, pops uint64
-	for e, n := range h.Edges() {
+	for e, n := range m.Coverage().Edges {
 		if strings.Contains(e.Symbol, "push]") {
 			pushes += n
 		}

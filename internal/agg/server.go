@@ -91,10 +91,18 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Register the worker under mu, after checking closed: Close sets
+		// closed before it takes mu, so a worker is either counted before
+		// Close's wg.Wait or refused here, never added while Wait runs.
 		s.mu.Lock()
+		if s.closed.Load() {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)

@@ -35,7 +35,7 @@ func runString(auto *Automaton, seq []int) (accepted bool, violations []*core.Vi
 		s.UpdateState(auto.Class, auto.Symbols[sym].Name, auto.Symbols[sym].Flags, core.AnyKey, auto.Trans[sym])
 	}
 	s.UpdateState(auto.Class, auto.Symbols[boundEndID].Name, auto.Symbols[boundEndID].Flags, core.AnyKey, auto.Trans[boundEndID])
-	return h.Accepts(auto.Name) > 0, h.Violations()
+	return s.Coverage().Accepts[auto.Name] > 0, h.Violations()
 }
 
 func TestCompileFig9Shape(t *testing.T) {
@@ -253,7 +253,7 @@ func TestATLeastZeroTracing(t *testing.T) {
 		t.Fatalf("violations: %v", h.Violations())
 	}
 	var loops uint64
-	for e, n := range h.Edges() {
+	for e, n := range s.Coverage().Edges {
 		if e.Symbol == "call(p())" {
 			loops += n
 		}
@@ -340,7 +340,7 @@ func TestDotOutput(t *testing.T) {
 	s.Register(auto.Class)
 	s.UpdateState(auto.Class, auto.Symbols[boundBeginID].Name, 0, core.AnyKey, auto.Trans[boundBeginID])
 	s.UpdateState(auto.Class, auto.Symbols[3].Name, 0, core.NewKey(7), auto.Trans[3])
-	weighted := auto.Dot(h.Edges())
+	weighted := auto.Dot(s.Coverage().Edges)
 	if !strings.Contains(weighted, "penwidth") || !strings.Contains(weighted, "xlabel") {
 		t.Errorf("weighted dot missing weights:\n%s", weighted)
 	}
@@ -503,7 +503,7 @@ func runStringNames(auto *Automaton, names []string) (bool, []*core.Violation) {
 		s.UpdateState(auto.Class, sym.Name, sym.Flags, core.AnyKey, auto.Trans[sym.ID])
 	}
 	s.UpdateState(auto.Class, end.Name, end.Flags, core.AnyKey, auto.Trans[end.ID])
-	return h.Accepts(auto.Name) > 0, h.Violations()
+	return s.Coverage().Accepts[auto.Name] > 0, h.Violations()
 }
 
 // TestXorStrictness: in conditional mode ^ behaves like || (at least one

@@ -9,12 +9,12 @@ import (
 )
 
 // Dot renders the automaton as a Graphviz digraph. If weights is non-nil
-// (edge counts from a core.CountingHandler), transitions are weighted
-// according to their occurrence at run time, reproducing the combined
-// static-description / dynamic-behaviour graphs of figure 9. This lets the
-// programmer visually inspect the portions of the state graph that are
-// executed in practice — coverage at a logical rather than source-line
-// level (§4.4.2).
+// (the Edges of a core.Coverage, from Monitor.Coverage or Store.Coverage),
+// transitions are weighted according to their occurrence at run time,
+// reproducing the combined static-description / dynamic-behaviour graphs of
+// figure 9. This lets the programmer visually inspect the portions of the
+// state graph that are executed in practice — coverage at a logical rather
+// than source-line level (§4.4.2).
 func (a *Automaton) Dot(weights map[core.TransitionEdge]uint64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", a.Name)

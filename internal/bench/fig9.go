@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tesla/internal/core"
 	"tesla/internal/kernel"
 	"tesla/internal/monitor"
 )
@@ -17,8 +16,7 @@ func Fig9(w io.Writer, syscalls int) error {
 	if err != nil {
 		return err
 	}
-	h := core.NewCountingHandler()
-	mon, err := monitor.New(monitor.Options{Handler: h}, autos...)
+	mon, err := monitor.New(monitor.Options{}, autos...)
 	if err != nil {
 		return err
 	}
@@ -43,7 +41,7 @@ func Fig9(w io.Writer, syscalls int) error {
 
 	for _, a := range autos {
 		if a.Name == "MS:sopoll_generic" {
-			fmt.Fprintln(w, a.Dot(h.Edges()))
+			fmt.Fprintln(w, a.Dot(mon.Coverage().Edges))
 			return nil
 		}
 	}

@@ -52,7 +52,7 @@ func runChaosDifferential(t *testing.T, seed int64, stripes int, rate float64) {
 		RearmEvents:     1 + rng.Intn(6),
 	}
 	states := uint32(3 + rng.Intn(3))
-	rig := newDiffRig(cls, seed, rate, rng.Intn(2) == 0, stripes)
+	rig := newDiffRig(cls, seed, rate, rng.Intn(2) == 0, false, stripes)
 	for i, ev := range randSchedule(rng, states, 64) {
 		rig.step(t, fmt.Sprintf("seed %d rate %v event %d", seed, rate, i), ev)
 	}

@@ -130,6 +130,10 @@ type Class struct {
 	// when both are zero, DefaultRearmEvents applies.
 	RearmEvents int
 	RearmAfter  time.Duration
+
+	// edges interns the class's edges into the dense slots its stores'
+	// coverage counters index (coverage.go). NewSymbolPlan fills it.
+	edges edgeTable
 }
 
 // DefaultInstanceLimit is used when a Class does not set Limit. The

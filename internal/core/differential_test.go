@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,17 +19,19 @@ import (
 // clone, cleanup over random keys, ANY patterns, strict and required
 // events, overflow, resets — are driven through the oracle and every
 // production store, asserting identical verdicts, live counts, instance
-// sets, quarantine state, health counters and handler notification
-// multisets after every event. Notification order within one event may
+// sets, quarantine state, health counters, coverage counts and handler
+// notification multisets after every event. Notification order within one event may
 // differ (slot numbering diverges once frees interleave with allocations),
 // so notifications are compared as multisets, which is also the only
 // meaningful comparison once the striped store runs concurrently. This is
 // the `make compile-gate` suite.
 
-// noteHandler records every notification as a serialised line.
+// noteHandler records every notification as a serialised line, and rebuilds
+// edge and accept coverage from the Transition and Accept notes.
 type noteHandler struct {
 	mu    sync.Mutex
 	notes []string
+	cov   Coverage
 }
 
 func (h *noteHandler) add(format string, args ...interface{}) {
@@ -47,10 +50,16 @@ func (h *noteHandler) InstanceClone(cls *Class, parent, clone *Instance) {
 
 func (h *noteHandler) Transition(cls *Class, inst *Instance, from, to uint32, symbol string) {
 	h.add("trans|%s|%s|%d|%d|%s", cls.Name, inst.Key, from, to, symbol)
+	h.mu.Lock()
+	h.cov.addEdge(TransitionEdge{Class: cls.Name, From: from, To: to, Symbol: symbol}, 1)
+	h.mu.Unlock()
 }
 
 func (h *noteHandler) Accept(cls *Class, inst *Instance) {
 	h.add("accept|%s|%s|%d", cls.Name, inst.Key, inst.State)
+	h.mu.Lock()
+	h.cov.addAccepts(cls.Name, 1)
+	h.mu.Unlock()
 }
 
 func (h *noteHandler) Fail(v *Violation) {
@@ -69,6 +78,26 @@ func (h *noteHandler) Quarantine(cls *Class, on bool) {
 	h.add("quarantine|%s|%v", cls.Name, on)
 }
 
+// coverage returns the coverage rebuilt from the notes so far.
+func (h *noteHandler) coverage() Coverage {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var c Coverage
+	c.Merge(h.cov)
+	return c
+}
+
+// fails counts the recorded violation notes.
+func (h *noteHandler) fails() int {
+	n := 0
+	for _, line := range h.sorted() {
+		if strings.HasPrefix(line, "fail|") {
+			n++
+		}
+	}
+	return n
+}
+
 // sorted returns the notification multiset in canonical order.
 func (h *noteHandler) sorted() []string {
 	h.mu.Lock()
@@ -80,7 +109,7 @@ func (h *noteHandler) sorted() []string {
 
 // diffEvent is one step of a randomised schedule.
 type diffEvent struct {
-	op     string // "update", "reset", "resetclass"
+	op     string // "update", "reset", "resetclass", "restorage"
 	symbol string
 	flags  SymbolFlags
 	key    Key
@@ -162,13 +191,16 @@ func (pc planCache) plan(cls *Class, symbol string, flags SymbolFlags, ts Transi
 }
 
 // diffStore is one store under differential test: the oracle or a
-// production store, with its own handler and fault injector.
+// production store, with its own handler and fault injector. A note-building
+// store's handler is a noteHandler (h); a lean store's is a CountingHandler
+// (counting), for which the store builds no lifecycle notes.
 type diffStore struct {
 	name string
 	*Store
-	update func(*SymbolPlan, Key) error
-	h      *noteHandler
-	inj    *faultinject.Injector
+	update   func(*SymbolPlan, Key) error
+	h        *noteHandler
+	counting *CountingHandler
+	inj      *faultinject.Injector
 }
 
 // diffRig drives one schedule through the oracle and production stores —
@@ -184,12 +216,20 @@ type diffRig struct {
 // each store gets its own allocation-fault injector built from seed, so all
 // of them see byte-identical fault schedules; with rate 0 no injector is
 // armed, which keeps the striped layout's free-headroom lock planning in
-// play.
-func newDiffRig(cls *Class, seed int64, rate float64, failFast bool, stripes ...int) *diffRig {
+// play. With lean set the rig also runs a lean twin of every production
+// store: the same layout serving only a CountingHandler, so its events
+// build no lifecycle notes.
+func newDiffRig(cls *Class, seed int64, rate float64, failFast, lean bool, stripes ...int) *diffRig {
 	r := &diffRig{cls: cls, plans: planCache{}}
-	add := func(name string, o StoreOpts) {
-		d := diffStore{name: name, h: &noteHandler{}, inj: faultinject.New(uint64(seed))}
-		o.Handler = d.h
+	add := func(name string, o StoreOpts, lean bool) {
+		d := diffStore{name: name, inj: faultinject.New(uint64(seed))}
+		if lean {
+			d.counting = NewCountingHandler()
+			o.Handler = d.counting
+		} else {
+			d.h = &noteHandler{}
+			o.Handler = d.h
+		}
 		if rate > 0 {
 			inj := d.inj
 			inj.SetRate(faultinject.SiteAlloc, rate)
@@ -206,18 +246,26 @@ func newDiffRig(cls *Class, seed int64, rate float64, failFast bool, stripes ...
 		d.Register(cls)
 		r.stores = append(r.stores, d)
 	}
-	add("oracle", StoreOpts{})
-	add("per-thread", StoreOpts{Context: PerThread})
+	add("oracle", StoreOpts{}, false)
+	add("per-thread", StoreOpts{Context: PerThread}, false)
 	for _, n := range stripes {
-		add(fmt.Sprintf("global/%d", n), StoreOpts{Context: Global, Shards: n})
+		add(fmt.Sprintf("global/%d", n), StoreOpts{Context: Global, Shards: n}, false)
+	}
+	if lean {
+		add("per-thread/lean", StoreOpts{Context: PerThread}, true)
+		for _, n := range stripes {
+			add(fmt.Sprintf("global/%d/lean", n), StoreOpts{Context: Global, Shards: n}, true)
+		}
 	}
 	return r
 }
 
 // step applies one event to every store and fails the test at the first
 // observable divergence from the oracle: verdict, live count, instance set,
-// quarantine state, health counters or notification multiset. where names
-// the event in failure messages.
+// quarantine state, health counters, notification multiset (violation count
+// for a lean store) or coverage. Every store's coverage, the oracle's
+// included, must also equal the coverage rebuilt from the oracle's
+// Transition and Accept notes. where names the event in failure messages.
 func (r *diffRig) step(t *testing.T, where string, ev diffEvent) {
 	t.Helper()
 	errs := make([]error, len(r.stores))
@@ -227,6 +275,8 @@ func (r *diffRig) step(t *testing.T, where string, ev diffEvent) {
 			d.Reset()
 		case "resetclass":
 			d.ResetClass(r.cls)
+		case "restorage":
+			d.RegisterWithStorage(r.cls, make([]Instance, r.cls.limit()))
 		default:
 			errs[i] = d.update(r.plans.plan(r.cls, ev.symbol, ev.flags, ev.ts), ev.key)
 		}
@@ -249,8 +299,18 @@ func (r *diffRig) step(t *testing.T, where string, ev diffEvent) {
 		if ho, hd := healthOf(o.Store, r.cls), healthOf(d.Store, r.cls); ho != hd {
 			t.Fatalf("%s: %s health diverged:\noracle: %v\nstore:  %v", at, d.name, ho, hd)
 		}
-		if no, nd := o.h.sorted(), d.h.sorted(); !reflect.DeepEqual(no, nd) {
-			t.Fatalf("%s: %s notification multisets diverged:\noracle: %v\nstore:  %v", at, d.name, no, nd)
+		if d.h != nil {
+			if no, nd := o.h.sorted(), d.h.sorted(); !reflect.DeepEqual(no, nd) {
+				t.Fatalf("%s: %s notification multisets diverged:\noracle: %v\nstore:  %v", at, d.name, no, nd)
+			}
+		} else if fo, fd := o.h.fails(), len(d.counting.Violations()); fo != fd {
+			t.Fatalf("%s: %s violations diverged: oracle=%d store=%d", at, d.name, fo, fd)
+		}
+	}
+	want := o.h.coverage()
+	for _, d := range r.stores {
+		if got := d.Coverage(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s coverage diverged from the notes:\nnotes: %v\nstore: %v", at, d.name, want, got)
 		}
 	}
 }
@@ -268,8 +328,10 @@ func (r *diffRig) finish(t *testing.T, where string) {
 
 // runDifferential drives one randomised 48-event schedule through the
 // oracle, the per-thread store and a Global store with the given stripe
-// count.
-func runDifferential(t *testing.T, seed int64, stripes int, failFast bool, rate float64) {
+// count. With lean set it adds the lean twins and splices re-registrations
+// (RegisterWithStorage) into the schedule, so coverage is also checked with
+// no lifecycle notes built and across re-registration.
+func runDifferential(t *testing.T, seed int64, stripes int, failFast bool, rate float64, lean bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	// Small limits make overflow reachable; vary them per schedule, along
@@ -282,9 +344,13 @@ func runDifferential(t *testing.T, seed int64, stripes int, failFast bool, rate 
 		RearmEvents:     1 + rng.Intn(8),
 	}
 	states := uint32(3 + rng.Intn(3))
-	rig := newDiffRig(cls, seed, rate, failFast, stripes)
+	rig := newDiffRig(cls, seed, rate, failFast, lean, stripes)
 	for i, ev := range randSchedule(rng, states, 48) {
-		rig.step(t, fmt.Sprintf("seed %d rate %v event %d", seed, rate, i), ev)
+		where := fmt.Sprintf("seed %d rate %v event %d", seed, rate, i)
+		if lean && rng.Intn(12) == 0 {
+			rig.step(t, where+" (before)", diffEvent{op: "restorage"})
+		}
+		rig.step(t, where, ev)
 	}
 	rig.finish(t, fmt.Sprintf("seed %d rate %v", seed, rate))
 }
@@ -299,27 +365,29 @@ var diffStripes = []int{1, 2, 4, 8, 16}
 // striping), with the per-thread store in every schedule.
 func TestDifferentialShardedVsReference(t *testing.T) {
 	for i := 0; i < 1200; i++ {
-		runDifferential(t, int64(i), diffStripes[i%len(diffStripes)], i%2 == 0, 0)
+		runDifferential(t, int64(i), diffStripes[i%len(diffStripes)], i%2 == 0, 0, false)
 	}
 }
 
 // TestEngineDifferential sweeps 1,250 more randomised schedules (seeds
 // 40000–41249) over both production bodies, the per-thread store in every
 // schedule and the Global store at each stripe count in turn, in both
-// fail-fast modes.
+// fail-fast modes, each store also as a lean twin, with re-registrations
+// spliced in.
 func TestEngineDifferential(t *testing.T) {
 	for i := 0; i < 1250; i++ {
-		runDifferential(t, int64(40000+i), diffStripes[i%len(diffStripes)], i%2 == 0, 0)
+		runDifferential(t, int64(40000+i), diffStripes[i%len(diffStripes)], i%2 == 0, 0, true)
 	}
 }
 
-// TestEngineDifferentialInjected repeats the sweep with allocation failures
-// injected at 1%, 10% and 50%: the compiled claim paths must degrade —
+// TestEngineDifferentialInjected repeats the sweep, lean twins and
+// re-registrations included, with allocation failures injected at 1%, 10%
+// and 50%: the compiled claim paths must degrade —
 // drop, evict, quarantine, suppress — exactly like the oracle.
 func TestEngineDifferentialInjected(t *testing.T) {
 	for _, rate := range []float64{0.01, 0.10, 0.50} {
 		for i := 0; i < 150; i++ {
-			runDifferential(t, int64(50000+i), diffStripes[i%len(diffStripes)], i%2 == 0, rate)
+			runDifferential(t, int64(50000+i), diffStripes[i%len(diffStripes)], i%2 == 0, rate, true)
 		}
 	}
 }
@@ -329,7 +397,7 @@ func TestEngineDifferentialInjected(t *testing.T) {
 // list, not the lock planning.
 func TestDifferentialSingleStripe(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		runDifferential(t, int64(10000+i), 1, false, 0)
+		runDifferential(t, int64(10000+i), 1, false, 0, false)
 	}
 }
 

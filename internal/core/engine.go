@@ -27,7 +27,10 @@ package core
 // oracle both bodies are checked against after every event
 // (oracle_test.go, differential_test.go, FuzzCompiledStep).
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // The key-comparison unrolling below is only valid while TESLA_KEY_SIZE is
 // 4; force a compile error if KeySize ever changes so the engine is revised
@@ -93,6 +96,9 @@ type SymbolPlan struct {
 	fromMask uint64
 	// init is the index in TS of the first «init» transition, or -1.
 	init int32
+	// edge[i] is TS[i]'s class-wide coverage slot (Class.edgeSlot), the
+	// counter a store bumps when an instance takes that transition.
+	edge []int32
 	// cleanup is TS.HasCleanup().
 	cleanup bool
 	// det and keyed classify the plan's shape (see Shape).
@@ -116,12 +122,14 @@ func NewSymbolPlan(cls *Class, symbol string, flags SymbolFlags, ts TransitionSe
 		TS:     ts,
 		next:   make([]int32, states),
 		init:   -1,
+		edge:   make([]int32, len(ts)),
 		det:    true,
 	}
 	for q := range p.next {
 		p.next[q] = -1
 	}
 	for i := range ts {
+		p.edge[i] = cls.edgeSlot(ts[i].From, ts[i].To, symbol)
 		q := ts[i].From
 		if p.next[q] >= 0 {
 			// A second edge from the same state: the interpreted scan
@@ -215,21 +223,20 @@ func (p *SymbolPlan) Shape() string {
 	return s
 }
 
-// find returns the transition taken from state q, or nil. One shift-and-test
-// rejects edge-less states; the table lookup handles the rest.
-func (p *SymbolPlan) find(q uint32) *Transition {
+// find returns the index in TS of the transition taken from state q, or -1.
+// One shift-and-test rejects edge-less states; the table lookup handles the
+// rest.
+func (p *SymbolPlan) find(q uint32) int32 {
 	if q < 64 {
 		if p.fromMask&(1<<q) == 0 {
-			return nil
+			return -1
 		}
-		return &p.TS[p.next[q]]
+		return p.next[q]
 	}
 	if q < uint32(len(p.next)) {
-		if i := p.next[q]; i >= 0 {
-			return &p.TS[i]
-		}
+		return p.next[q]
 	}
-	return nil
+	return -1
 }
 
 // initTr returns the hoisted «init» transition, or nil.
@@ -238,6 +245,21 @@ func (p *SymbolPlan) initTr() *Transition {
 		return nil
 	}
 	return &p.TS[p.init]
+}
+
+// fired accounts one edge an instance took: always in the store's coverage
+// counters cc, and as Transition and Accept notes when the handler reads
+// them. inst is the instance after the edge; slot is the edge's coverage
+// slot.
+func (nb *noteBuf) fired(cc *covCounts, cls *Class, inst *Instance, tr *Transition, slot int32, symbol string) {
+	cc.fire(slot, tr.Cleanup())
+	if !nb.life {
+		return
+	}
+	nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: tr.From, to: tr.To, symbol: symbol})
+	if tr.Cleanup() {
+		nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
+	}
 }
 
 // compatible4 is Key.Compatible unrolled for KeySize = 4: compare all four
@@ -301,7 +323,9 @@ func (cs *classState) findExactFast(key Key) *Instance {
 // the lifecycle and error contract documented on UpdateState. It runs the
 // compiled body of the store's layout.
 func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
+	hc := s.hv.Load()
 	nb := notePool.Get().(*noteBuf)
+	nb.life = hc.life
 	var err error
 	if s.nshards > 0 {
 		sc := s.shardedClassOf(p.Cls)
@@ -313,7 +337,7 @@ func (s *Store) UpdateStatePlan(p *SymbolPlan, key Key) error {
 	} else {
 		err = s.updateRefEngine(p, key, nb)
 	}
-	s.dispatch(nb)
+	s.dispatch(hc.h, nb)
 	nb.reset()
 	notePool.Put(nb)
 	return err
@@ -366,8 +390,8 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 			continue
 		}
 
-		tr := p.find(inst.State)
-		if tr == nil {
+		ti := p.find(inst.State)
+		if ti < 0 {
 			switch {
 			case p.cleanup:
 				// The bound is ending but this instance is stuck in
@@ -381,6 +405,7 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 			}
 			continue
 		}
+		tr := &p.TS[ti]
 
 		if key.Mask&^inst.Key.Mask != 0 {
 			// The event binds variables this instance has not seen
@@ -402,22 +427,17 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 			cs.birthClock++
 			*clone = Instance{State: tr.To, Key: newKey, Active: true, birth: cs.birthClock}
 			cs.commit()
-			nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: cls, inst: *clone})
+			if nb.life {
+				nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
 			}
+			nb.fired(&cs.cov, cls, clone, tr, p.edge[ti], p.Symbol)
+			matched = true
 			continue
 		}
 
-		from := inst.State
 		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
+		nb.fired(&cs.cov, cls, inst, tr, p.edge[ti], p.Symbol)
 		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-		}
 	}
 
 	if !matched && !cs.quarantined {
@@ -428,12 +448,11 @@ func (s *Store) updateRefEngineLocked(cs *classState, p *SymbolPlan, key Key, nb
 					cs.birthClock++
 					*inst = Instance{State: init.To, Key: initKey, Active: true, birth: cs.birthClock}
 					cs.commit()
-					nb.add(note{kind: noteNew, cls: cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
+					if nb.life {
+						nb.add(note{kind: noteNew, cls: cls, inst: *inst})
 					}
+					nb.fired(&cs.cov, cls, inst, init, p.edge[p.init], p.Symbol)
+					matched = true
 				}
 			}
 		} else if p.Flags&SymRequired != 0 && cs.live > 0 {
@@ -506,6 +525,9 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 	// nothing per-event escapes to the heap.
 	var firstErr error
 	failStop := sc.pol.failureIn(s) == FailStop
+	// Coverage is counted in the lowest stripe the event holds: its lock
+	// serialises the counters with no atomic on the event path.
+	cc := &sc.shards[bits.TrailingZeros64(set)].cov
 
 	// Collect the compatible instances live before this event (so clones
 	// made below are not driven by the same event). With no out-of-mask
@@ -557,8 +579,8 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 			continue
 		}
 
-		tr := p.find(inst.State)
-		if tr == nil {
+		ti := p.find(inst.State)
+		if ti < 0 {
 			switch {
 			case p.cleanup:
 				s.shardedFail(sc, nb, failStop, &firstErr, &Violation{Class: sc.cls, Kind: VerdictIncomplete, Key: inst.Key, State: inst.State, Symbol: p.Symbol})
@@ -568,6 +590,7 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 			}
 			continue
 		}
+		tr := &p.TS[ti]
 
 		if key.Mask&^inst.Key.Mask != 0 {
 			// Clone. For in-plan parents the union is the event key
@@ -584,22 +607,17 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 				continue
 			}
 			clone := sc.activate(nslot, tr.To, newKey)
-			nb.add(note{kind: noteClone, cls: sc.cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: sc.cls, inst: *clone, from: tr.From, to: tr.To, symbol: p.Symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: sc.cls, inst: *clone})
+			if nb.life {
+				nb.add(note{kind: noteClone, cls: sc.cls, parent: parent, inst: *clone})
 			}
+			nb.fired(cc, sc.cls, clone, tr, p.edge[ti], p.Symbol)
+			matched = true
 			continue
 		}
 
-		from := inst.State
 		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: from, to: tr.To, symbol: p.Symbol})
+		nb.fired(cc, sc.cls, inst, tr, p.edge[ti], p.Symbol)
 		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
-		}
 	}
 
 	if !matched && !sc.quarantined.Load() {
@@ -608,12 +626,11 @@ func (s *Store) updateShardedEngineBody(sc *shardedClass, p *SymbolPlan, key Key
 			if sc.findIn(&sc.shards[sc.shardOf(initKey)], initKey) < 0 {
 				if slot := s.shardedClaim(sc, nb, failStop, &firstErr, set, initKey); slot >= 0 {
 					inst := sc.activate(slot, init.To, initKey)
-					nb.add(note{kind: noteNew, cls: sc.cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: sc.cls, inst: *inst, from: init.From, to: init.To, symbol: p.Symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: sc.cls, inst: *inst})
+					if nb.life {
+						nb.add(note{kind: noteNew, cls: sc.cls, inst: *inst})
 					}
+					nb.fired(cc, sc.cls, inst, init, p.edge[p.init], p.Symbol)
+					matched = true
 				}
 			}
 		} else if p.Flags&SymRequired != 0 && sc.live.Load() > 0 {

@@ -42,7 +42,7 @@ func FuzzCompiledStep(f *testing.F) {
 			return
 		}
 		cls := &Class{Name: "fuzzstep", States: 8, Limit: 6, Overflow: EvictOldest}
-		rig := newDiffRig(cls, 0, 0, false, 1, 4)
+		rig := newDiffRig(cls, 0, 0, false, false, 1, 4)
 		for i, b := range data {
 			sym := symbols[int(b)%len(symbols)]
 			key := Key{}

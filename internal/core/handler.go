@@ -12,6 +12,11 @@ import (
 // from §4.4.1 are reported: instance initialisation, clones, updates, errors
 // and finalisation (automaton acceptance).
 //
+// A store builds the lifecycle notes (InstanceNew, InstanceClone,
+// Transition, Accept) only for a handler that reads them (readsLifecycle);
+// Fail, Overflow, Evict and Quarantine reach every handler. Edge and accept
+// counts are kept by the store (Store.Coverage).
+//
 // Handlers are invoked after the store has released its internal locks: an
 // event's notifications are buffered during the critical section and
 // dispatched once it ends, so a handler may block or call back into the same
@@ -98,45 +103,17 @@ func (h *PrintHandler) Quarantine(cls *Class, on bool) {
 	}
 }
 
-// TransitionEdge identifies one automaton edge for coverage accounting.
-type TransitionEdge struct {
-	Class  string
-	From   uint32
-	To     uint32
-	Symbol string
-}
-
-// CountingHandler aggregates per-edge transition counts, the data behind the
-// weighted automaton graphs of figure 9 and TESLA's “logical coverage”
-// reporting. It is safe for concurrent use.
+// CountingHandler collects violations and reads no lifecycle notes. It is
+// safe for concurrent use.
 type CountingHandler struct {
 	NopHandler
 
 	mu         sync.Mutex
-	edges      map[TransitionEdge]uint64
-	accepts    map[string]uint64
 	violations []*Violation
 }
 
 // NewCountingHandler returns an empty CountingHandler.
-func NewCountingHandler() *CountingHandler {
-	return &CountingHandler{
-		edges:   make(map[TransitionEdge]uint64),
-		accepts: make(map[string]uint64),
-	}
-}
-
-func (h *CountingHandler) Transition(cls *Class, inst *Instance, from, to uint32, symbol string) {
-	h.mu.Lock()
-	h.edges[TransitionEdge{cls.Name, from, to, symbol}]++
-	h.mu.Unlock()
-}
-
-func (h *CountingHandler) Accept(cls *Class, inst *Instance) {
-	h.mu.Lock()
-	h.accepts[cls.Name]++
-	h.mu.Unlock()
-}
+func NewCountingHandler() *CountingHandler { return &CountingHandler{} }
 
 func (h *CountingHandler) Fail(v *Violation) {
 	h.mu.Lock()
@@ -144,36 +121,31 @@ func (h *CountingHandler) Fail(v *Violation) {
 	h.mu.Unlock()
 }
 
-// EdgeCount returns the number of times the edge fired.
-func (h *CountingHandler) EdgeCount(e TransitionEdge) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.edges[e]
-}
-
-// Edges returns a copy of all edge counts.
-func (h *CountingHandler) Edges() map[TransitionEdge]uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[TransitionEdge]uint64, len(h.edges))
-	for e, n := range h.edges {
-		out[e] = n
-	}
-	return out
-}
-
-// Accepts returns how many instances of the named class accepted.
-func (h *CountingHandler) Accepts(class string) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.accepts[class]
-}
-
 // Violations returns the violations observed so far.
 func (h *CountingHandler) Violations() []*Violation {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]*Violation(nil), h.violations...)
+}
+
+// readsLifecycle reports whether h reads lifecycle notes (InstanceNew,
+// InstanceClone, Transition, Accept); a store builds them only if it does.
+// Only handlers known to ignore them say no: NopHandler, *CountingHandler,
+// and MultiHandlers made of those. Any other handler, a wrapper included,
+// gets every note.
+func readsLifecycle(h Handler) bool {
+	switch h := h.(type) {
+	case NopHandler, *CountingHandler:
+		return false
+	case MultiHandler:
+		for _, x := range h {
+			if readsLifecycle(x) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // MultiHandler fans notifications out to several handlers in order.

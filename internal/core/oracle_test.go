@@ -9,7 +9,9 @@ package core
 // event, and store_bench_test.go holds the engine to at least 1.5× its
 // speed.
 
-// oracle is a per-thread store whose events take the interpreted walk.
+// oracle is a per-thread store whose events take the interpreted walk. It
+// counts coverage too, interning each edge it fires, so Coverage can be
+// compared across all three bodies.
 type oracle struct{ *Store }
 
 // newOracle builds an oracle from store options; the context is forced to
@@ -21,9 +23,10 @@ func newOracle(o StoreOpts) *oracle {
 
 // UpdateState is Store.UpdateState through the interpreted walk.
 func (r *oracle) UpdateState(cls *Class, symbol string, flags SymbolFlags, key Key, ts TransitionSet) error {
-	var nb noteBuf
+	hc := r.hv.Load()
+	nb := noteBuf{life: hc.life}
 	err := r.updateRef(cls, symbol, flags, key, ts, &nb)
-	r.dispatch(&nb)
+	r.dispatch(hc.h, &nb)
 	return err
 }
 
@@ -145,22 +148,17 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 			cs.birthClock++
 			*clone = Instance{State: tr.To, Key: newKey, Active: true, birth: cs.birthClock}
 			cs.commit()
-			nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
-			nb.add(note{kind: noteTransition, cls: cls, inst: *clone, from: tr.From, to: tr.To, symbol: symbol})
-			matched = true
-			if tr.Cleanup() {
-				nb.add(note{kind: noteAccept, cls: cls, inst: *clone})
+			if nb.life {
+				nb.add(note{kind: noteClone, cls: cls, parent: parent, inst: *clone})
 			}
+			nb.fired(&cs.cov, cls, clone, tr, cls.edgeSlot(tr.From, tr.To, symbol), symbol)
+			matched = true
 			continue
 		}
 
-		from := inst.State
 		inst.State = tr.To
-		nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: from, to: tr.To, symbol: symbol})
+		nb.fired(&cs.cov, cls, inst, tr, cls.edgeSlot(tr.From, tr.To, symbol), symbol)
 		matched = true
-		if tr.Cleanup() {
-			nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
-		}
 	}
 
 	if !matched && !cs.quarantined {
@@ -171,12 +169,11 @@ func (s *Store) updateRefLocked(cs *classState, symbol string, flags SymbolFlags
 					cs.birthClock++
 					*inst = Instance{State: init.To, Key: initKey, Active: true, birth: cs.birthClock}
 					cs.commit()
-					nb.add(note{kind: noteNew, cls: cls, inst: *inst})
-					nb.add(note{kind: noteTransition, cls: cls, inst: *inst, from: init.From, to: init.To, symbol: symbol})
-					matched = true
-					if init.Cleanup() {
-						nb.add(note{kind: noteAccept, cls: cls, inst: *inst})
+					if nb.life {
+						nb.add(note{kind: noteNew, cls: cls, inst: *inst})
 					}
+					nb.fired(&cs.cov, cls, inst, init, cls.edgeSlot(init.From, init.To, symbol), symbol)
+					matched = true
 				}
 			}
 		} else if flags&SymRequired != 0 && cs.live > 0 {

@@ -122,8 +122,8 @@ func TestQuickCloneKeyProvenance(t *testing.T) {
 	}
 }
 
-// TestQuickHandlerConsistency: transitions reported to the handler always
-// move between valid states, and every accept is preceded by a transition.
+// TestQuickHandlerConsistency: transitions the store counts always move
+// between valid states, and every accept is preceded by a transition.
 func TestQuickHandlerConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f := func() bool {
@@ -145,13 +145,14 @@ func TestQuickHandlerConsistency(t *testing.T) {
 			}
 		}
 		var transitions uint64
-		for e, n := range h.Edges() {
+		cov := s.Coverage()
+		for e, n := range cov.Edges {
 			if e.From == e.To && e.Symbol == "enter" {
 				return false // init edges never self-loop here
 			}
 			transitions += n
 		}
-		return transitions == 0 || h.Accepts(cls.Name) <= transitions
+		return transitions == 0 || cov.Accepts[cls.Name] <= transitions
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

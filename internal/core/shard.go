@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -108,7 +109,10 @@ type storeShard struct {
 	// table maps probe positions to slot+1; 0 is empty. Deletion
 	// backward-shifts, so a probe may stop at the first empty entry.
 	table []uint32
-	_     [40]byte // keep neighbouring stripes off one cache line
+	// cov is the stripe's share of the class's coverage counts, bumped by
+	// events whose lowest held stripe this is.
+	cov covCounts
+	_   [64]byte // keep neighbouring stripes off one cache line
 }
 
 func newShardedClass(cls *Class, storage []Instance, nshards int) *shardedClass {
@@ -377,6 +381,17 @@ func (s *Store) registerSharded(cls *Class, storage []Instance) {
 	replaced := false
 	for _, prev := range old.order {
 		if prev.cls == cls {
+			// Re-registration starts the class over but keeps its
+			// coverage: the new block inherits every stripe's counts,
+			// taken under the old stripes' locks. An event racing the
+			// swap may still land in the old block and go uncounted
+			// (DESIGN.md §17).
+			prev.lockShards(prev.allMask())
+			defer prev.unlockShards(prev.allMask())
+			for i := range prev.shards {
+				c := prev.shards[i].cov
+				sc.shards[i].cov = covCounts{edges: slices.Clone(c.edges), accepts: c.accepts}
+			}
 			nt.order = append(nt.order, sc)
 			replaced = true
 		} else {

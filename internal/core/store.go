@@ -70,13 +70,18 @@ type classState struct {
 	// birthClock stamps activations so EvictOldest picks the same victim
 	// in both layouts.
 	birthClock uint64
+	// cov counts the edges and accepts this store's events fired
+	// (coverage.go). Like health, it survives resets.
+	cov covCounts
 }
 
 // StoreOpts configures a Store beyond what NewStore exposes.
 type StoreOpts struct {
 	// Context selects per-thread or global state (§3.2).
 	Context Context
-	// Handler receives lifecycle notifications; nil discards them.
+	// Handler receives lifecycle notifications; nil discards them. The
+	// store builds InstanceNew, InstanceClone, Transition and Accept notes
+	// only for a handler that reads them (see Handler).
 	Handler Handler
 	// Shards is the lock-stripe count of a Global store: 0 sizes it to
 	// GOMAXPROCS, other values are rounded up to a power of two and capped
@@ -146,8 +151,20 @@ type Store struct {
 }
 
 // handlerCell boxes the handler so it can be swapped atomically: the sharded
-// store reads it outside any store-wide lock.
-type handlerCell struct{ h Handler }
+// store reads it outside any store-wide lock. life caches
+// readsLifecycle(h), so an event decides with one load whether to build
+// lifecycle notes.
+type handlerCell struct {
+	h    Handler
+	life bool
+}
+
+func newHandlerCell(h Handler) *handlerCell {
+	if h == nil {
+		h = NopHandler{}
+	}
+	return &handlerCell{h: h, life: readsLifecycle(h)}
+}
 
 // shardTable is the registration snapshot of a sharded store, replaced
 // copy-on-write under Store.mu so the event hot path can read it lock-free.
@@ -164,12 +181,9 @@ func NewStore(ctx Context, handler Handler) *Store {
 
 // NewStoreOpts creates a store from explicit options.
 func NewStoreOpts(o StoreOpts) *Store {
-	if o.Handler == nil {
-		o.Handler = NopHandler{}
-	}
 	s := &Store{context: o.Context}
 	s.sv.init(o)
-	s.hv.Store(&handlerCell{h: o.Handler})
+	s.hv.Store(newHandlerCell(o.Handler))
 	if o.Context != Global {
 		// A per-thread store sees no concurrency, so it needs neither
 		// stripes nor atomics: one table per class.
@@ -215,12 +229,7 @@ func (s *Store) Shards() int {
 func (s *Store) Handler() Handler { return s.hv.Load().h }
 
 // SetHandler replaces the notification handler.
-func (s *Store) SetHandler(h Handler) {
-	if h == nil {
-		h = NopHandler{}
-	}
-	s.hv.Store(&handlerCell{h: h})
-}
+func (s *Store) SetHandler(h Handler) { s.hv.Store(newHandlerCell(h)) }
 
 // Register adds a class to the store, preallocating its instance block.
 // Registering the same class twice is a no-op.
@@ -264,6 +273,7 @@ func (s *Store) RegisterWithStorage(cls *Class, storage []Instance) {
 	if cs, ok := s.classes[cls]; ok {
 		// Replacing storage resets the class wholesale, like the sharded
 		// store's re-registration: supervision state starts over too.
+		// Coverage counts are kept.
 		cs.insts = storage
 		cs.live = 0
 		cs.clearQuarantine()

@@ -359,6 +359,9 @@ type noteBuf struct {
 	arr   [noteBufSize]note
 	n     int
 	spill []note
+	// life says the store's handler reads lifecycle notes (New, Clone,
+	// Transition, Accept); without it the event bodies build none.
+	life bool
 }
 
 func (nb *noteBuf) add(n note) {
@@ -372,17 +375,16 @@ func (nb *noteBuf) add(n note) {
 
 func (nb *noteBuf) empty() bool { return nb.n == 0 && len(nb.spill) == 0 }
 
-// dispatch delivers the buffered notifications to the store's handler,
-// outside any store lock, recovering panics. Each recovered panic is
-// counted against the note's class; past the store's panic limit the
-// handler is quarantined and later notifications are dropped (counted in
-// NotesDropped). Violation callbacks (FailCallback) run under the same
-// isolation.
-func (s *Store) dispatch(nb *noteBuf) {
+// dispatch delivers the buffered notifications to h, the store's handler
+// when the event began, outside any store lock, recovering panics. Each
+// recovered panic is counted against the note's class; past the store's
+// panic limit the handler is quarantined and later notifications are
+// dropped (counted in NotesDropped). Violation callbacks (FailCallback) run
+// under the same isolation.
+func (s *Store) dispatch(h Handler, nb *noteBuf) {
 	if nb.empty() {
 		return
 	}
-	h := s.Handler()
 	for i := 0; i < nb.n; i++ {
 		s.deliverNote(h, &nb.arr[i])
 	}

@@ -118,8 +118,8 @@ func TestFig9Lifecycle(t *testing.T) {
 	if len(h.Violations()) != 0 {
 		t.Fatalf("unexpected violations: %v", h.Violations())
 	}
-	if h.Accepts(cls.Name) != 3 {
-		t.Fatalf("accepts = %d, want 3", h.Accepts(cls.Name))
+	if n := s.Coverage().Accepts[cls.Name]; n != 3 {
+		t.Fatalf("accepts = %d, want 3", n)
 	}
 }
 

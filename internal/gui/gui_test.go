@@ -28,7 +28,7 @@ func traceAutomaton(t *testing.T) *automata.Automaton {
 	return auto
 }
 
-func teslaWindow(t *testing.T, be Backend, deliveryBug bool) (*Window, *RunLoop, *core.CountingHandler) {
+func teslaWindow(t *testing.T, be Backend, deliveryBug bool) (*Window, *RunLoop, *monitor.Monitor, *core.CountingHandler) {
 	t.Helper()
 	auto := traceAutomaton(t)
 	h := core.NewCountingHandler()
@@ -39,7 +39,7 @@ func teslaWindow(t *testing.T, be Backend, deliveryBug bool) (*Window, *RunLoop,
 	w := NewWindow(rt, be)
 	w.DeliveryBug = deliveryBug
 	rl := NewRunLoop(w, th)
-	return w, rl, h
+	return w, rl, m, h
 }
 
 func standardScene(w *Window) {
@@ -89,12 +89,12 @@ func TestNonLIFOBackendBug(t *testing.T) {
 // the non-LIFO grestoreToken: following nested gsaves — exactly the
 // sequence the new back end's author did not believe was valid.
 func TestTESLATraceLocalisesBackendBug(t *testing.T) {
-	w, rl, h := teslaWindow(t, NewNewBackend(), false)
+	w, rl, m, h := teslaWindow(t, NewNewBackend(), false)
 	standardScene(w)
 	rl.ProcessBatch([]Event{{Kind: Expose}})
 
 	var sawToken, sawSave bool
-	for e, n := range h.Edges() {
+	for e, n := range m.Coverage().Edges {
 		if n == 0 {
 			continue
 		}
@@ -118,7 +118,7 @@ func TestTESLATraceLocalisesBackendBug(t *testing.T) {
 // leaving the cursor stack wrong, as in the June 2013 GNUstep report.
 func TestCursorBugReproduced(t *testing.T) {
 	run := func(bug bool) (pushes, pops uint64, stack []int64) {
-		w, rl, h := teslaWindow(t, NewOldBackend(), bug)
+		w, rl, m, _ := teslaWindow(t, NewOldBackend(), bug)
 		w.AddTracking(Rect{0, 0, 100, 100}, CursorIBeam)
 		// enter; scroll invalidates the tracking rects while the
 		// pointer stays inside; wiggle; leave.
@@ -128,7 +128,7 @@ func TestCursorBugReproduced(t *testing.T) {
 			{Kind: MouseMove, X: 12, Y: 10},
 		})
 		rl.ProcessBatch([]Event{{Kind: MouseMove, X: 200, Y: 10}})
-		for e, n := range h.Edges() {
+		for e, n := range m.Coverage().Edges {
 			if strings.Contains(e.Symbol, "push") {
 				pushes += n
 			}

@@ -170,7 +170,7 @@ func TestCoverageReproduction(t *testing.T) {
 	th := k.NewThread()
 	ExerciseAll(th)
 
-	missed := Unexercised(h, autos)
+	missed := Unexercised(mon.Coverage(), autos)
 	if len(missed) != 26 {
 		t.Fatalf("unexercised = %d (%v), want 26", len(missed), missed)
 	}
@@ -198,7 +198,7 @@ func TestCoverageReproduction(t *testing.T) {
 	for op := 0; op < RtprioOps; op++ {
 		th.Rtprio(op, th.Proc())
 	}
-	if missed := Unexercised(h, autos); len(missed) != 0 {
+	if missed := Unexercised(mon.Coverage(), autos); len(missed) != 0 {
 		t.Fatalf("still unexercised after full drive: %v", missed)
 	}
 	if vs := h.Violations(); len(vs) != 0 {
@@ -405,7 +405,7 @@ func TestEveryAssertionExercisable(t *testing.T) {
 		th.Rtprio(op, th.Proc())
 	}
 
-	missed := Unexercised(h, autos)
+	missed := Unexercised(mon.Coverage(), autos)
 	// The Infrastructure test assertions intentionally reference events
 	// that never fire; everything else must have been exercised.
 	var unexpected []string

@@ -99,10 +99,14 @@ type Monitor struct {
 	// say which slots begin/end on a given function's call or return.
 	boundSlot map[string]int
 	autoBound []int
-	beginCall map[string][]int
-	beginRet  map[string][]int
-	endCall   map[string][]int
-	endRet    map[string][]int
+	// slotGlobal[slot] says some global-context automaton has that bound.
+	// Only such slots read globalLazy, so only their bound events take
+	// muGlobal.
+	slotGlobal []bool
+	beginCall  map[string][]int
+	beginRet   map[string][]int
+	endCall    map[string][]int
+	endRet     map[string][]int
 
 	// globalLazy tracks bound epochs for global-context automata,
 	// guarded by muGlobal (the analogue of the store's explicit
@@ -113,8 +117,8 @@ type Monitor struct {
 	// nextThread numbers threads for trace attribution.
 	nextThread atomic.Int32
 
-	// threads tracks every Thread's store so Health can merge per-thread
-	// degradation counters with the global store's.
+	// threads tracks every Thread's store so Health and Coverage can merge
+	// per-thread counters with the global store's.
 	threadsMu sync.Mutex
 	threads   []*Thread
 }
@@ -160,6 +164,12 @@ func New(opts Options, autos ...*automata.Automaton) (*Monitor, error) {
 		}
 	}
 	m.globalLazy = newLazyState(len(m.boundSlot), len(m.autos))
+	m.slotGlobal = make([]bool, len(m.boundSlot))
+	for idx, a := range m.autos {
+		if a.Spec.Context == spec.Global {
+			m.slotGlobal[m.autoBound[idx]] = true
+		}
+	}
 	return m, nil
 }
 
@@ -323,17 +333,9 @@ func (m *Monitor) NewThread() *Thread {
 // Quarantined set if the class is quarantined in any store. Entries are
 // ordered by first appearance (global first, then threads in creation order).
 func (m *Monitor) Health() []core.ClassHealth {
-	m.threadsMu.Lock()
-	stores := make([]*core.Store, 0, 1+len(m.threads))
-	stores = append(stores, m.global)
-	for _, th := range m.threads {
-		stores = append(stores, th.store)
-	}
-	m.threadsMu.Unlock()
-
 	idx := map[string]int{}
 	var out []core.ClassHealth
-	for _, s := range stores {
+	for _, s := range m.stores() {
 		for _, ch := range s.HealthReport() {
 			i, ok := idx[ch.Class]
 			if !ok {
@@ -345,6 +347,30 @@ func (m *Monitor) Health() []core.ClassHealth {
 			out[i].Quarantined = out[i].Quarantined || ch.Quarantined
 			out[i].Health.Merge(ch.Health)
 		}
+	}
+	return out
+}
+
+// Coverage merges edge and accept counts across the global store and every
+// per-thread store. Like Health, it reads per-thread stores unlocked: call
+// it when no thread is dispatching (after the program's threads joined).
+func (m *Monitor) Coverage() core.Coverage {
+	var c core.Coverage
+	for _, s := range m.stores() {
+		c.Merge(s.Coverage())
+	}
+	return c
+}
+
+// stores returns the global store, then every thread's store in creation
+// order.
+func (m *Monitor) stores() []*core.Store {
+	m.threadsMu.Lock()
+	defer m.threadsMu.Unlock()
+	out := make([]*core.Store, 0, 1+len(m.threads))
+	out = append(out, m.global)
+	for _, th := range m.threads {
+		out = append(out, th.store)
 	}
 	return out
 }
@@ -736,6 +762,9 @@ func (th *Thread) boundBegin(slot int) error {
 		ls.inBound[slot] = true
 	}
 	bump(&th.lazy)
+	if !th.m.slotGlobal[slot] {
+		return nil
+	}
 	if th.lockGlobal() {
 		defer th.unlockGlobal()
 	}
@@ -770,6 +799,9 @@ func (th *Thread) boundEnd(slot int) error {
 	}
 	for _, idx := range flush(&th.lazy) {
 		cleanup(idx)
+	}
+	if !th.m.slotGlobal[slot] {
+		return first
 	}
 	locked := th.lockGlobal()
 	globalTouched := append([]int(nil), flush(&th.m.globalLazy)...)

@@ -130,8 +130,9 @@ func TestLazyEqualsNaive(t *testing.T) {
 			th.Return("amd64_syscall", 0)
 		}
 		accepts := map[string]uint64{}
+		cov := m.Coverage()
 		for _, name := range []string{"a1", "a2", "a3", "a4"} {
-			accepts[name] = h.Accepts(name)
+			accepts[name] = cov.Accepts[name]
 		}
 		return h.Violations(), accepts
 	}
@@ -231,7 +232,8 @@ func (h *reentrantHandler) InstanceNew(cls *core.Class, inst *core.Instance) {
 		return
 	}
 	h.reenters++
-	// A per-thread bound's entry and exit touch the global lazy state too.
+	// A per-thread bound's entry and exit, which leave the global lock
+	// alone, then a global automaton's event, which re-enters it.
 	h.th.Call("amd64_syscall")
 	h.th.Return("amd64_syscall", 0)
 	h.th.Call("prepare", 3)
@@ -375,7 +377,7 @@ func TestObjCMessages(t *testing.T) {
 		t.Fatalf("objc trace: %v", vs)
 	}
 	var pushes uint64
-	for e, n := range h.Edges() {
+	for e, n := range m.Coverage().Edges {
 		if e.Symbol == "[ANY(id) push]" {
 			pushes += n
 		}

@@ -67,7 +67,7 @@ func TestPipelineFig4Good(t *testing.T) {
 	}
 
 	h := core.NewCountingHandler()
-	ret, _, err := b.Run("main", monitor.Options{Handler: h}, 1)
+	ret, rt, err := b.Run("main", monitor.Options{Handler: h}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestPipelineFig4Good(t *testing.T) {
 		t.Fatalf("violations: %v", vs)
 	}
 	// Both the bound (∗) instance (bypass) and the (so) clone accept.
-	if h.Accepts("uipc_socket.c:11") == 0 {
-		t.Fatalf("assertion did not accept: %v", h.Edges())
+	if cov := rt.Monitor.Coverage(); cov.Accepts["uipc_socket.c:11"] == 0 {
+		t.Fatalf("assertion did not accept: %v", cov.Edges)
 	}
 }
 

@@ -78,8 +78,9 @@ func ReplayOpts(t *Trace, autos []*automata.Automaton, opts monitor.Options) (*R
 		return nil, err
 	}
 	res := &Result{Accepts: map[string]uint64{}, Violations: counting.Violations()}
+	accepts := m.Coverage().Accepts
 	for _, a := range autos {
-		if n := counting.Accepts(a.Name); n > 0 {
+		if n := accepts[a.Name]; n > 0 {
 			res.Accepts[a.Name] = n
 		}
 	}

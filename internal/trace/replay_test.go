@@ -108,8 +108,9 @@ int main(int x) {
 }
 
 // record builds the program instrumented, runs it for arg with a recorder
-// and counting handler attached, and returns the trace plus live verdicts.
-func record(t *testing.T, src string, arg int64) (*trace.Trace, *toolchain.Build, *core.CountingHandler) {
+// and counting handler attached, and returns the trace plus live verdicts
+// and coverage.
+func record(t *testing.T, src string, arg int64) (*trace.Trace, *toolchain.Build, *core.CountingHandler, core.Coverage) {
 	t.Helper()
 	build, err := toolchain.BuildProgram(map[string]string{"prog.c": src}, true)
 	if err != nil {
@@ -117,14 +118,14 @@ func record(t *testing.T, src string, arg int64) (*trace.Trace, *toolchain.Build
 	}
 	counting := core.NewCountingHandler()
 	rec := trace.NewRecorder(build.Autos, 0)
-	_, _, err = build.Run("main", monitor.Options{
+	_, rt, err := build.Run("main", monitor.Options{
 		Handler: core.MultiHandler{counting, rec},
 		Tap:     rec,
 	}, arg)
 	if err != nil {
 		t.Fatalf("arg %d: live run failed: %v", arg, err)
 	}
-	return rec.Snapshot(), build, counting
+	return rec.Snapshot(), build, counting, rt.Monitor.Coverage()
 }
 
 // violationSigs projects violations onto comparable tuples.
@@ -145,7 +146,7 @@ func TestReplayDeterminism(t *testing.T) {
 	for _, tc := range tracePrograms {
 		t.Run(tc.name, func(t *testing.T) {
 			for arg := int64(-3); arg <= 6; arg++ {
-				tr, build, live := record(t, tc.src, arg)
+				tr, build, live, liveCov := record(t, tc.src, arg)
 				if tr.Dropped != 0 {
 					t.Fatalf("arg %d: %d events dropped", arg, tr.Dropped)
 				}
@@ -163,12 +164,13 @@ func TestReplayDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(liveV, replV) {
 					t.Fatalf("arg %d: violations differ\nlive:   %v\nreplay: %v", arg, liveV, replV)
 				}
+				replCov := m.Coverage()
 				for _, a := range build.Autos {
-					if l, r := live.Accepts(a.Name), replayed.Accepts(a.Name); l != r {
+					if l, r := liveCov.Accepts[a.Name], replCov.Accepts[a.Name]; l != r {
 						t.Fatalf("arg %d: %s accepts: live %d, replay %d", arg, a.Name, l, r)
 					}
 				}
-				if l, r := live.Edges(), replayed.Edges(); !reflect.DeepEqual(l, r) {
+				if l, r := liveCov.Edges, replCov.Edges; !reflect.DeepEqual(l, r) {
 					t.Fatalf("arg %d: transition edges differ\nlive:   %v\nreplay: %v", arg, l, r)
 				}
 			}
@@ -180,7 +182,7 @@ func TestReplayDeterminism(t *testing.T) {
 // binary encode/decode and a JSON encode/decode, so what is proven for
 // in-memory traces holds for trace files.
 func TestReplayAfterCodecRoundTrip(t *testing.T) {
-	tr, build, live := record(t, tracePrograms[0].src, 1)
+	tr, build, live, _ := record(t, tracePrograms[0].src, 1)
 
 	for _, enc := range []struct {
 		name  string
@@ -227,7 +229,7 @@ func TestShrinkMinimality(t *testing.T) {
 	for _, tc := range tracePrograms {
 		t.Run(tc.name, func(t *testing.T) {
 			for arg := int64(-1); arg <= 1; arg++ {
-				tr, build, live := record(t, tc.src, arg)
+				tr, build, live, _ := record(t, tc.src, arg)
 				if len(live.Violations()) == 0 {
 					continue
 				}
@@ -303,7 +305,7 @@ func replaysTo(t *testing.T, events []trace.Event, build *toolchain.Build, targe
 // trace: the violation line, the timeline and the automaton path (and the
 // DOT form) must all mention the failing class.
 func TestReportRendersCounterexample(t *testing.T) {
-	tr, build, _ := record(t, tracePrograms[1].src, 0) // doomed_eventually
+	tr, build, _, _ := record(t, tracePrograms[1].src, 0) // doomed_eventually
 	res, err := trace.Shrink(tr, build.Autos)
 	if err != nil {
 		t.Fatal(err)

@@ -49,6 +49,11 @@ type VM struct {
 	steps    int64
 	frames   []string // function-name stack for incallstack queries
 	maxDepth int
+	// hookVals is the argument buffer every TESLA hook reuses. The monitor
+	// only borrows a hook's values for the duration of the call (taps that
+	// keep an event copy them; see monitor.ProgramEvent), so one buffer
+	// per VM serves every hook without allocating.
+	hookVals []core.Value
 }
 
 type allocation struct {
@@ -360,10 +365,11 @@ func (vm *VM) teslaIntrinsic(in *ir.Instr, regs []int64) (int64, error) {
 	if th == nil {
 		return 0, fmt.Errorf("vm: instrumented code (%s) without an attached monitor thread", in.Sym)
 	}
-	vals := make([]core.Value, len(in.Args))
-	for i, a := range in.Args {
-		vals[i] = core.Value(regs[a])
+	vals := vm.hookVals[:0]
+	for _, a := range in.Args {
+		vals = append(vals, core.Value(regs[a]))
 	}
+	vm.hookVals = vals
 	switch {
 	case in.Sym == "__tesla_bound_begin":
 		return 0, th.BoundBegin(int(in.Imm))

@@ -7,9 +7,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tesla/internal/automata"
 	"tesla/internal/compiler"
 	"tesla/internal/core"
 	"tesla/internal/ir"
+	"tesla/internal/monitor"
+	"tesla/internal/spec"
 )
 
 // run compiles and executes a csub program.
@@ -335,5 +338,66 @@ int main(int i) {
 	}
 	if _, err := New(prog).Run("main", 99999); err == nil {
 		t.Fatal("out-of-range index must be a VM error")
+	}
+}
+
+// TestHookAllocFree pins the instrumented-event path allocation-free under
+// a monitor whose only handler is a CountingHandler: a bound entry, a
+// pre-matched __tesla_update (Thread.Deliver), an assertion-site hook and a
+// bound exit together allocate nothing. The VM reuses one hook-argument
+// buffer, and the store builds no lifecycle notes for a handler that reads
+// none.
+func TestHookAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	a, err := spec.Parse("alloc", `TESLA_SYSCALL_PREVIOUSLY(mac_socket_check_poll(ANY(ptr), so) == 0)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := automata.Compile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := -1
+	for _, s := range auto.Symbols {
+		if s.Kind == automata.KindFuncExit && len(s.Captures) == 1 {
+			check = s.ID
+		}
+	}
+	if check < 0 {
+		t.Fatal("no capturing return symbol")
+	}
+	_, prog, err := compiler.Compile(map[string]string{"t.c": `int main() { return 0; }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewCountingHandler()
+	mon := monitor.MustNew(monitor.Options{Handler: h}, auto)
+	m := New(prog)
+	m.Thread = mon.NewThread()
+	slot := int64(monitor.BoundSlots(mon.Automata())[a.Bound.String()])
+	regs := []int64{7}
+	hooks := []ir.Instr{
+		{Op: ir.OpCall, Sym: "__tesla_bound_begin", Imm: slot},
+		{Op: ir.OpCall, Sym: "__tesla_update", Imm: int64(check), Args: []int{0}},
+		{Op: ir.OpCall, Sym: "__tesla_site", Imm: 0, Args: []int{0}},
+		{Op: ir.OpCall, Sym: "__tesla_bound_end", Imm: slot},
+	}
+	tx := func() {
+		for i := range hooks {
+			if _, err := m.teslaIntrinsic(&hooks[i], regs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(200, tx); n != 0 {
+		t.Fatalf("hook path allocates %.1f times per transaction, want 0", n)
+	}
+	if vs := h.Violations(); len(vs) != 0 {
+		t.Fatalf("violations: %v", vs)
+	}
+	if got := mon.Coverage().Accepts[auto.Name]; got < 200 {
+		t.Fatalf("accepts = %d, want every transaction accepted", got)
 	}
 }
